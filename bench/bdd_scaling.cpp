@@ -10,7 +10,7 @@
 /// reporting per-phase times, speedups over the sequential run, the
 /// scheduler counters (tasks / steals / peak ready-queue depth), and a
 /// bit-identical front check (the determinism contract of
-/// BddBuOptions::threads).
+/// BddBuOptions::pool).
 ///
 /// Usage: bench_bdd_scaling [--fig4-n N] [--dag-nodes N] [--threads T]
 ///                          [--repeats R] [--json PATH]
@@ -64,9 +64,10 @@ ScalingRow measure(const std::string& label, const AugmentedAdt& aadt,
   std::vector<double> propagate;
   std::vector<double> total;
   BddBuReport report;
+  TaskScheduler pool(threads);
   for (std::size_t r = 0; r < repeats; ++r) {
     BddBuOptions options;
-    options.threads = threads;
+    options.pool = &pool;
     const double t = bench::time_call(
         [&] { report = bdd_bu_analyze(aadt, options); });
     build.push_back(report.build_seconds);

@@ -113,8 +113,9 @@ ScalingRow measure(const AugmentedAdt& aadt, unsigned threads,
                    WitnessFront* witness_out) {
   ScalingRow row;
   row.threads = threads;
+  TaskScheduler pool(threads);
   BottomUpOptions options;
-  options.threads = threads;
+  options.pool = &pool;
   std::vector<double> seconds;
   BottomUpReport report;
   for (std::size_t r = 0; r < repeats; ++r) {

@@ -28,6 +28,7 @@
 #include "core/analyzer.hpp"
 #include "gen/catalog.hpp"
 #include "util/json.hpp"
+#include "util/parallel.hpp"
 #include "util/table.hpp"
 
 using namespace adtp;
@@ -138,8 +139,9 @@ int main(int argc, char** argv) {
         bench::time_call([&] { bdd_front = bdd_bu_front(aadt); });
 
     if (bdd_threads > 1) {
+      TaskScheduler pool(bdd_threads);
       BddBuOptions par;
-      par.threads = bdd_threads;
+      par.pool = &pool;
       BddBuReport par_report;
       row.bdd_par_seconds =
           bench::time_call([&] { par_report = bdd_bu_analyze(aadt, par); });

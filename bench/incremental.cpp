@@ -37,6 +37,7 @@
 #include "core/whatif.hpp"
 #include "gen/catalog.hpp"
 #include "util/json.hpp"
+#include "util/parallel.hpp"
 #include "util/table.hpp"
 
 using namespace adtp;
@@ -231,8 +232,9 @@ int main(int argc, char** argv) {
     const AugmentedAdt variant = edited_variant(gate_model, blocks, repeats);
     const WitnessFront cold_witness = bottom_up_front_witness(variant);
     for (const unsigned t : {1u, threads}) {
+      TaskScheduler pool(t);
       BottomUpOptions bu;
-      bu.threads = t;
+      bu.pool = &pool;
       bu.memo = &gate_memo;
       if (!witnesses_identical(bottom_up_front_witness(variant, bu),
                                cold_witness)) {

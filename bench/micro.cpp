@@ -13,6 +13,7 @@
 #include "gen/catalog.hpp"
 #include "gen/random_adt.hpp"
 #include "util/cpu.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 
 using namespace adtp;
@@ -326,8 +327,9 @@ AugmentedAdt sharded_naive_model() {
 
 void BM_NaiveSharded(benchmark::State& state) {
   const AugmentedAdt model = sharded_naive_model();
+  TaskScheduler pool(static_cast<unsigned>(state.range(0)));
   NaiveOptions options;
-  options.threads = static_cast<unsigned>(state.range(0));
+  options.pool = &pool;
   for (auto _ : state) {
     benchmark::DoNotOptimize(naive_front(model, options));
   }
@@ -354,8 +356,9 @@ BENCHMARK(BM_Fig4BottomUp)->Arg(4)->Arg(8)->Arg(10);
 
 void BM_BddPropagateThreads(benchmark::State& state) {
   const AugmentedAdt fig4 = catalog::fig4_exponential(14);
+  TaskScheduler pool(static_cast<unsigned>(state.range(0)));
   BddBuOptions options;
-  options.threads = static_cast<unsigned>(state.range(0));
+  options.pool = &pool;
   for (auto _ : state) {
     const BddBuReport report = bdd_bu_analyze(fig4, options);
     benchmark::DoNotOptimize(report.front.size());
@@ -370,8 +373,9 @@ void BM_BddBuildThreads(benchmark::State& state) {
   // Construction-heavy shape: a large shared DAG, fronts stay small.
   const AugmentedAdt dag = random_dag(400, 23);
   const auto order = bdd::VarOrder::defense_first(dag.adt());
+  TaskScheduler pool(static_cast<unsigned>(state.range(0)));
   bdd::BuildOptions options;
-  options.threads = static_cast<unsigned>(state.range(0));
+  options.pool = &pool;
   for (auto _ : state) {
     bdd::Manager manager(order.num_vars());
     benchmark::DoNotOptimize(

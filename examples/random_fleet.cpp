@@ -100,7 +100,6 @@ int main(int argc, char** argv) {
   std::cout << "\n" << batch.items.size() - batch.failures << "/"
             << batch.items.size() << " analyzed on " << batch.threads_used
             << " thread(s) in " << format_seconds(batch.seconds) << " ("
-            << batch.trees_per_second() << " ok-trees/sec, "
             << batch.items_per_second() << " items/sec)\n";
   return 0;
 }

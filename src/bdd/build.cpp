@@ -1,7 +1,6 @@
 #include "bdd/build.hpp"
 
 #include <cstdint>
-#include <optional>
 
 #include "util/error.hpp"
 
@@ -101,15 +100,7 @@ std::vector<Ref> build_all(Manager& manager, const Adt& adt,
     }
   };
 
-  // Pool resolution: an externally shared scheduler wins; otherwise
-  // spawn one only when more than one worker was asked for.
   TaskScheduler* pool = options.pool;
-  std::optional<TaskScheduler> owned;
-  if (pool == nullptr && resolve_thread_knob(options.threads) > 1) {
-    owned.emplace(options.threads);
-    pool = &*owned;
-  }
-
   if (pool != nullptr && pool->threads() > 1) {
     // The stripe locks only engage when tasks will actually run on more
     // than one thread; the flag is published to the workers through the

@@ -1,7 +1,10 @@
 #include "core/analyzer.hpp"
 
+#include <optional>
+
 #include "core/node_memo.hpp"
 #include "util/error.hpp"
+#include "util/parallel.hpp"
 #include "util/timer.hpp"
 
 namespace adtp {
@@ -34,20 +37,24 @@ AnalysisResult analyze(const AugmentedAdt& aadt,
   result.used = algorithm;
   NodeMemoStats memo_stats;
   Stopwatch watch;
+  // The call's own scheduler, lent to the resolved kernel unless the
+  // caller lent one already.
+  std::optional<TaskScheduler> scheduler;
+  auto lend = [&](TaskScheduler*& pool) {
+    if (pool == nullptr && options.intra_model_threads > 1) {
+      pool = &scheduler.emplace(options.intra_model_threads);
+    }
+  };
   switch (algorithm) {
     case Algorithm::Naive: {
       NaiveOptions naive = options.naive;
-      if (options.intra_model_threads != 0) {
-        naive.threads = options.intra_model_threads;
-      }
+      lend(naive.pool);
       result.front = naive_front(aadt, naive);
       break;
     }
     case Algorithm::BottomUp: {
       BottomUpOptions bottom_up = options.bottom_up;
-      if (options.intra_model_threads != 0) {
-        bottom_up.threads = options.intra_model_threads;
-      }
+      lend(bottom_up.pool);
       if (bottom_up.memo_stats == nullptr) bottom_up.memo_stats = &memo_stats;
       result.front = bottom_up_front(aadt, bottom_up);
       result.memo_hits = bottom_up.memo_stats->hits;
@@ -56,17 +63,13 @@ AnalysisResult analyze(const AugmentedAdt& aadt,
     }
     case Algorithm::BddBu: {
       BddBuOptions bdd = options.bdd;
-      if (options.intra_model_threads != 0) {
-        bdd.threads = options.intra_model_threads;
-      }
+      lend(bdd.pool);
       result.front = bdd_bu_front(aadt, bdd);
       break;
     }
     case Algorithm::Hybrid: {
       HybridOptions hybrid = options.hybrid;
-      if (options.intra_model_threads != 0) {
-        hybrid.bdd.threads = options.intra_model_threads;
-      }
+      lend(hybrid.bdd.pool);
       if (hybrid.memo_stats == nullptr) hybrid.memo_stats = &memo_stats;
       result.front = hybrid_front(aadt, hybrid);
       result.memo_hits = hybrid.memo_stats->hits;

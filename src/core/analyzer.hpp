@@ -33,15 +33,15 @@ struct AnalysisOptions {
   BddBuOptions bdd;
   HybridOptions hybrid;
 
-  /// Worker threads *inside* one analysis: 0 (default) keeps every
-  /// per-algorithm setting as-is; any other value overrides the knobs of
-  /// all four intra-model parallel paths - naive.threads (the sharded
-  /// 2^|D| enumeration), bottom_up.threads (the sibling-subtree task
-  /// DAG), and bdd.threads / hybrid.bdd.threads (the task-DAG BDD
-  /// construction + propagation). Results are identical for every value,
-  /// so the FrontCache key deliberately ignores it. analyze_batch()
-  /// shares its scheduler with items' intra-model phases instead of
-  /// letting an oversized item straggle on one core.
+  /// Worker threads *inside* one analysis. 0 (default) and 1 run the
+  /// kernel sequentially; N > 1 makes analyze() build one N-slot
+  /// TaskScheduler for the call and lend it to the resolved kernel's
+  /// pool (naive.pool, bottom_up.pool, bdd.pool or hybrid.bdd.pool) when
+  /// the caller left that pool null. Its workers spawn only if the
+  /// kernel clears its work floor. Results are identical for every
+  /// value, so the FrontCache key deliberately ignores it. Inside
+  /// analyze_batch() the batch scheduler is every item's pool, so the
+  /// field has no effect there.
   unsigned intra_model_threads = 0;
 };
 

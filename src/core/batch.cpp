@@ -18,9 +18,8 @@ struct BatchContext {
   const BatchOptions& options;
   BatchReport& report;
   Deadline deadline;  ///< batch-wide; disabled when deadline_seconds <= 0
-  /// The batch scheduler; shared with items' intra-model phases when
-  /// donate_intra_model is on.
-  TaskScheduler* sched = nullptr;
+  /// The batch scheduler, lent to every item's intra-model phases.
+  TaskScheduler& sched;
 
   /// Serializes completion bookkeeping and the on_item callback; also
   /// guards report.completion_order and report.callback_error.
@@ -36,11 +35,12 @@ struct BatchContext {
   std::atomic<bool> saw_cancel{false};
 
   BatchContext(std::span<const BatchJob> jobs_, const BatchOptions& options_,
-               BatchReport& report_)
+               BatchReport& report_, TaskScheduler& sched_)
       : jobs(jobs_),
         options(options_),
         report(report_),
-        deadline(options_.deadline_seconds) {}
+        deadline(options_.deadline_seconds),
+        sched(sched_) {}
 };
 
 bool batch_cancelled(const BatchContext& ctx) {
@@ -48,12 +48,12 @@ bool batch_cancelled(const BatchContext& ctx) {
 }
 
 /// Copies the job's options and threads the batch-wide guards, the
-/// slot's persistent arena, and (when sharing is on) the batch scheduler
-/// into every per-algorithm slot that has not been explicitly set by the
-/// caller. Precedence: a job that carries its own deadline/cancel
-/// pointer keeps it for the in-flight phase (an explicit per-item guard
-/// is a deliberate override); the batch-wide guards still gate that
-/// item's *start* via the between-item checks.
+/// slot's persistent arena, and the batch scheduler into every
+/// per-algorithm slot that has not been explicitly set by the caller.
+/// Precedence: a job that carries its own deadline/cancel pointer keeps
+/// it for the in-flight phase (an explicit per-item guard is a
+/// deliberate override); the batch-wide guards still gate that item's
+/// *start* via the between-item checks.
 AnalysisOptions instrument_options(const BatchContext& ctx,
                                    const AnalysisOptions& base,
                                    FrontArena<ValuePoint>& arena) {
@@ -80,24 +80,16 @@ AnalysisOptions instrument_options(const BatchContext& ctx,
     if (opts.bottom_up.memo == nullptr) opts.bottom_up.memo = ctx.options.memo;
     if (opts.hybrid.memo == nullptr) opts.hybrid.memo = ctx.options.memo;
   }
-  // Scheduler sharing: hand the batch scheduler to every intra-model
+  // Scheduler sharing: lend the batch scheduler to every intra-model
   // parallel path, so an oversized item (a huge naive enumeration, one
   // giant tree or DAG) spreads over whatever slots are idle instead of
   // straggling on one - work stealing balances items against shards with
   // no hand-tuned split. Each path still applies its own work floors, so
-  // small items run their cheap sequential kernels untouched. An
-  // explicit per-item thread or pool knob is a deliberate setting and
-  // disables the injection.
-  if (ctx.sched != nullptr && ctx.sched->threads() > 1 &&
-      ctx.options.donate_intra_model && opts.intra_model_threads == 0 &&
-      opts.naive.threads == 1 && opts.naive.pool == nullptr &&
-      opts.bottom_up.threads == 1 && opts.bottom_up.pool == nullptr &&
-      opts.bdd.threads == 1 && opts.bdd.pool == nullptr &&
-      opts.hybrid.bdd.threads == 1 && opts.hybrid.bdd.pool == nullptr) {
-    opts.naive.pool = ctx.sched;
-    opts.bottom_up.pool = ctx.sched;
-    opts.bdd.pool = ctx.sched;
-    opts.hybrid.bdd.pool = ctx.sched;
+  // small items run their cheap sequential kernels untouched. A pool the
+  // job lent itself is kept.
+  for (TaskScheduler** pool : {&opts.naive.pool, &opts.bottom_up.pool,
+                               &opts.bdd.pool, &opts.hybrid.bdd.pool}) {
+    if (*pool == nullptr) *pool = &ctx.sched;
   }
   return opts;
 }
@@ -208,21 +200,12 @@ BatchReport analyze_batch(std::span<const BatchJob> jobs,
   for (std::size_t i = 0; i < jobs.size(); ++i) report.items[i].index = i;
   report.completion_order.reserve(jobs.size());
 
-  // With scheduler sharing on, the full requested width stays: a batch
-  // of one giant job on an 8-wide scheduler runs that job's intra-model
-  // tasks on all 8 slots. Without sharing, extra slots could never see
-  // work, so the width is clamped to the job count.
-  unsigned requested = resolve_thread_knob(options.n_threads);
-  if (!options.donate_intra_model) {
-    requested = static_cast<unsigned>(std::min<std::size_t>(
-        requested, std::max<std::size_t>(1, jobs.size())));
-  }
-
   Stopwatch watch;
-  TaskScheduler sched(requested);
+  TaskScheduler sched(static_cast<unsigned>(
+      std::min<std::size_t>(resolve_thread_knob(options.n_threads),
+                            std::max<std::size_t>(1, jobs.size()))));
   report.threads_used = sched.threads();
-  BatchContext ctx(jobs, options, report);
-  if (options.donate_intra_model) ctx.sched = &sched;
+  BatchContext ctx(jobs, options, report, sched);
 
   // One arena per scheduler slot, alive for the whole batch: combine
   // buffers recycle across every item a slot processes, not just within
@@ -239,8 +222,7 @@ BatchReport analyze_batch(std::span<const BatchJob> jobs,
   graph.reserve(jobs.size());
   for (std::uint32_t i = 0; i < jobs.size(); ++i) graph.add(body, i);
   // run_item/finish_item capture every exception, so the graph cannot
-  // abort; the stats cover item tasks plus all shared intra-model tasks
-  // the items nested onto the scheduler.
+  // abort.
   report.sched = sched.run(graph);
 
   report.seconds = watch.seconds();
@@ -272,25 +254,6 @@ BatchReport analyze_batch(const std::vector<AugmentedAdt>& models,
     jobs.push_back(BatchJob{&model, analysis});
   }
   return analyze_batch(std::span<const BatchJob>(jobs), options);
-}
-
-BatchReport analyze_batch(std::span<const AugmentedAdt* const> models,
-                          const AnalysisOptions& options, unsigned n_threads) {
-  std::vector<BatchJob> jobs;
-  jobs.reserve(models.size());
-  for (const AugmentedAdt* model : models) {
-    jobs.push_back(BatchJob{model, options});
-  }
-  BatchOptions batch;
-  batch.n_threads = n_threads;
-  return analyze_batch(std::span<const BatchJob>(jobs), batch);
-}
-
-BatchReport analyze_batch(const std::vector<AugmentedAdt>& models,
-                          const AnalysisOptions& options, unsigned n_threads) {
-  BatchOptions batch;
-  batch.n_threads = n_threads;
-  return analyze_batch(models, options, batch);
 }
 
 }  // namespace adtp

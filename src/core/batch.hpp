@@ -7,9 +7,9 @@
 /// graph on a work-stealing TaskScheduler (util/parallel.hpp). Each item
 /// gets its own wall-clock timing and error capture - one model blowing
 /// a resource guard (LimitError) or failing validation never affects its
-/// batch neighbours. By default the items *share* the scheduler with
-/// their own intra-model phases (naive shards, bottom-up sibling folds,
-/// BDD build/propagate tasks): an oversized item fans its tasks out over
+/// batch neighbours. The items *share* the scheduler with their own
+/// intra-model phases (naive shards, bottom-up sibling folds, BDD
+/// build/propagate tasks): an oversized item fans its tasks out over
 /// whatever slots are idle, and work stealing balances items against
 /// shards with no hand-tuned thread split.
 ///
@@ -91,13 +91,15 @@ struct BatchItem {
   double seconds = 0;     ///< wall-clock for this item (even on failure)
 };
 
-/// Batch-wide serving knobs; default-constructed it behaves like the
-/// plain parallel batch of old.
+/// Batch-wide serving knobs; default-constructed it is a plain parallel
+/// batch at the hardware width.
 struct BatchOptions {
   /// Scheduler width (0 = std::thread::hardware_concurrency(), also
-  /// overridable via the ADTP_THREADS environment variable). Clamped to
-  /// the batch size only when donate_intra_model is off - with sharing
-  /// on, surplus slots serve the items' own intra-model tasks.
+  /// overridable via the ADTP_THREADS environment variable), clamped to
+  /// the number of jobs: a slot more than there are items would only
+  /// ever serve intra-model tasks, so a batch of one job runs it
+  /// sequentially (use analyze() with intra_model_threads for one model
+  /// in parallel).
   unsigned n_threads = 0;
 
   /// Wall-clock budget for the whole batch in seconds; <= 0 means none.
@@ -126,18 +128,6 @@ struct BatchOptions {
   /// content - never enters the FrontCacheKey. Items that set their own
   /// per-algorithm memo pointer keep it.
   NodeFrontMemo* memo = nullptr;
-
-  /// When true (default), the batch scheduler is shared with every
-  /// item's intra-model phases: the per-algorithm pool pointers
-  /// (naive / bottom_up / bdd / hybrid.bdd) are set to the batch
-  /// scheduler, so an oversized item (a huge naive enumeration, one
-  /// giant tree's sibling folds, a big DAG's BDD build + propagate)
-  /// fans out over idle slots instead of straggling on one core while
-  /// the rest of the pool idles. Items that set intra_model_threads (or
-  /// any per-algorithm threads/pool knob) themselves keep their own
-  /// setting; results are unaffected either way (intra-model
-  /// parallelism is deterministic).
-  bool donate_intra_model = true;
 };
 
 /// Outcome of a whole batch run.
@@ -163,23 +153,12 @@ struct BatchReport {
   /// callbacks are suppressed once set.
   std::string callback_error;
   unsigned threads_used = 1;  ///< scheduler slots serving the batch
-  /// Scheduler counters of the batch run: item tasks plus every shared
-  /// intra-model task the items nested onto the scheduler.
+  /// Scheduler counters of the batch's item graph (the intra-model runs
+  /// items nest onto the scheduler keep their own counters).
   TaskRunStats sched;
   double seconds = 0;  ///< wall-clock for the whole batch
 
-  /// Completed (ok) models per second of batch wall-clock. Caveat: the
-  /// numerator excludes failed items but the denominator includes the
-  /// wall-clock they consumed before failing, so a batch with expensive
-  /// failures under-reports sustained throughput of the successes. Use
-  /// items_per_second() for an all-items rate.
-  [[nodiscard]] double trees_per_second() const {
-    if (seconds <= 0) return 0.0;
-    return static_cast<double>(items.size() - failures) / seconds;
-  }
-
-  /// All items (successes and failures) per second of batch wall-clock -
-  /// the fair rate when failures consume meaningful time.
+  /// All items (successes and failures) per second of batch wall-clock.
   [[nodiscard]] double items_per_second() const {
     if (seconds <= 0) return 0.0;
     return static_cast<double>(items.size()) / seconds;
@@ -195,21 +174,9 @@ struct BatchReport {
 [[nodiscard]] BatchReport analyze_batch(const std::vector<BatchJob>& jobs,
                                         const BatchOptions& options = {});
 
-/// Convenience: every model analyzed with the same \p analysis options,
-/// with full serving knobs.
+/// Convenience: every model analyzed with the same \p analysis options.
 [[nodiscard]] BatchReport analyze_batch(const std::vector<AugmentedAdt>& models,
                                         const AnalysisOptions& analysis,
-                                        const BatchOptions& options);
-
-/// Analyzes every model in \p models with \p options on \p n_threads
-/// worker threads (the pre-serving API, kept for one-shot callers).
-[[nodiscard]] BatchReport analyze_batch(
-    std::span<const AugmentedAdt* const> models,
-    const AnalysisOptions& options = {}, unsigned n_threads = 0);
-
-/// Convenience overload over owned models.
-[[nodiscard]] BatchReport analyze_batch(const std::vector<AugmentedAdt>& models,
-                                        const AnalysisOptions& options = {},
-                                        unsigned n_threads = 0);
+                                        const BatchOptions& options = {});
 
 }  // namespace adtp

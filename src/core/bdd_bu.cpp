@@ -1,7 +1,6 @@
 #include "core/bdd_bu.hpp"
 
 #include <algorithm>
-#include <optional>
 #include <type_traits>
 #include <vector>
 
@@ -284,33 +283,25 @@ bdd::VarOrder resolve_order(const AugmentedAdt& aadt,
 /// up front regardless, so construction parallelizes too.
 constexpr std::size_t kMinBddNodesForPool = 4096;
 
-/// Lazily-engaged scheduler of one BDDBU run. A small ADT can still
-/// translate to a huge BDD (the Fig. 4 family: 43 ADT nodes, ~3 * 2^n
-/// BDD nodes), so the scheduler engages either up front - when the ADT
-/// itself clears options.parallel_node_floor - or right after the build,
-/// when the manager turns out large enough that task-DAG propagation
-/// pays for itself. An external scheduler (hybrid blobs, batch
-/// donation) is subject to the same floors - it exists already, but
-/// per-node task bookkeeping on a tiny model still costs more than the
-/// sequential loop - just without the spawn cost when it does engage.
+/// When one BDDBU run engages the borrowed scheduler. A small ADT can
+/// still translate to a huge BDD (the Fig. 4 family: 43 ADT nodes,
+/// ~3 * 2^n BDD nodes), so a multi-slot pool engages either up front -
+/// when the ADT itself clears options.parallel_node_floor - or right
+/// after the build, when the manager turns out large enough that
+/// task-DAG propagation pays for itself. Below both floors per-node task
+/// bookkeeping costs more than the sequential loop.
 class PoolGate {
  public:
   PoolGate(const AugmentedAdt& aadt, const BddBuOptions& options)
-      : external_(options.pool),
-        requested_(external_ != nullptr ? external_->threads()
-                                        : resolve_thread_knob(options.threads)) {
-    if (requested_ > 1 &&
-        aadt.adt().size() >= options.parallel_node_floor) {
-      engage();
-    }
+      : offered_(options.pool != nullptr && options.pool->threads() > 1
+                     ? options.pool
+                     : nullptr) {
+    if (aadt.adt().size() >= options.parallel_node_floor) pool_ = offered_;
   }
 
   /// Called between build and propagate with the manager's node count.
   void after_build(std::size_t manager_nodes) {
-    if (pool_ == nullptr && requested_ > 1 &&
-        manager_nodes >= kMinBddNodesForPool) {
-      engage();
-    }
+    if (manager_nodes >= kMinBddNodesForPool) pool_ = offered_;
   }
 
   [[nodiscard]] TaskScheduler* pool() noexcept { return pool_; }
@@ -319,18 +310,7 @@ class PoolGate {
   }
 
  private:
-  void engage() {
-    if (external_ != nullptr) {
-      pool_ = external_;
-      return;
-    }
-    storage_.emplace(requested_);
-    pool_ = &*storage_;
-  }
-
-  TaskScheduler* external_;
-  unsigned requested_;
-  std::optional<TaskScheduler> storage_;
+  TaskScheduler* offered_;
   TaskScheduler* pool_ = nullptr;
 };
 

@@ -23,7 +23,7 @@
 /// is a pure function of its children's fronts, computed with the same
 /// operations in the same (children-first) order whatever worker or
 /// chunk runs it, so fronts and witnesses are bit-identical for every
-/// thread count and grain; neither knob enters the FrontCache key.
+/// scheduler width and grain; neither enters the FrontCache key.
 
 #pragma once
 
@@ -70,18 +70,8 @@ struct BddBuOptions {
   /// keep private per-slot arenas).
   FrontArena<ValuePoint>* arena = nullptr;
 
-  /// Worker threads for BDD construction and task-DAG propagation:
-  /// 1 (default) runs sequentially, 0 resolves to the hardware
-  /// concurrency, N > 1 uses N workers (the calling thread is one of
-  /// them). Fronts and witnesses are bit-identical for every value (see
-  /// the file comment), so this knob deliberately does not participate in
-  /// the FrontCache key; analyze_batch() raises it for oversized items
-  /// via AnalysisOptions::intra_model_threads.
-  unsigned threads = 1;
-
   /// Models smaller than this many ADT nodes never engage a multi-slot
-  /// scheduler up front even when \p threads (or an external \p pool)
-  /// offers more than one - per-node task bookkeeping costs more than a
+  /// \p pool up front - per-node task bookkeeping costs more than a
   /// small model's whole analysis. A small ADT whose BDD turns out huge
   /// still engages right after the build. Tests set 0 to force the
   /// parallel path on tiny models.
@@ -95,15 +85,15 @@ struct BddBuOptions {
   /// near-empty tasks of low-work BDD regions into few substantial ones;
   /// 1 reproduces the old task-per-node graph. Per-node computation and
   /// order are unchanged, so results are bit-identical for every value
-  /// and - like \p threads - the knob never enters the FrontCache key.
+  /// and - like \p pool - the knob never enters the FrontCache key.
   std::size_t task_grain_points = 1024;
 
-  /// Optional externally-owned scheduler; when set it overrides
-  /// \p threads (no pool is spawned - the external one is used once the
-  /// model clears the floors above). hybrid_analyze() shares one
-  /// scheduler across all its per-blob runs this way, and analyze_batch
-  /// injects the batch scheduler for oversized items. Like \p arena,
-  /// never part of the FrontCache key.
+  /// Borrowed scheduler for BDD construction and task-DAG propagation,
+  /// used once the model clears the floors above; null (default) runs
+  /// sequentially. Fronts and witnesses are bit-identical for every
+  /// width (see the file comment), so - like \p arena - the pointer
+  /// never enters the FrontCache key. analyze() and analyze_batch() set
+  /// it; hybrid_analyze() passes it on to every per-blob run.
   TaskScheduler* pool = nullptr;
 };
 

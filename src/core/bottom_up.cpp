@@ -1,7 +1,6 @@
 #include "core/bottom_up.hpp"
 
 #include <algorithm>
-#include <optional>
 #include <type_traits>
 
 #include "core/domains.hpp"
@@ -293,19 +292,12 @@ std::vector<BasicFront<P>> bottom_up_all(
   // Engage the scheduler only when more than one slot is on offer and
   // the tree clears the floor; otherwise the plain walk wins.
   TaskScheduler* pool = options.pool;
-  const unsigned width =
-      pool != nullptr ? pool->threads() : resolve_thread_knob(options.threads);
-  const bool parallel =
-      width > 1 && aadt.adt().size() >= options.parallel_node_floor;
-  std::optional<TaskScheduler> owned;
-  if (parallel && pool == nullptr) {
-    owned.emplace(width);
-    pool = &*owned;
-  }
+  const bool parallel = pool != nullptr && pool->threads() > 1 &&
+                        aadt.adt().size() >= options.parallel_node_floor;
   return dispatch_domains(
       aadt.defender_domain(), aadt.attacker_domain(),
       [&](const auto& dd, const auto& da) {
-        if (parallel && pool->threads() > 1) {
+        if (parallel) {
           return bottom_up_parallel_kernel<P>(aadt, options, *pool,
                                               max_front_size, counters, dd,
                                               da);

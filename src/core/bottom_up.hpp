@@ -18,7 +18,7 @@
 /// Every gate folds its children's fronts left to right exactly like the
 /// sequential walk (the fold shape is fixed; arenas are scratch), so
 /// fronts and witnesses are bit-identical for every thread count and the
-/// threads knob stays out of the FrontCache key (docs/CONTRACTS.md).
+/// pool pointer stays out of the FrontCache key (docs/CONTRACTS.md).
 
 #pragma once
 
@@ -58,31 +58,24 @@ struct BottomUpOptions {
   /// its own persistent arena so buffer recycling spans the whole batch.
   FrontArena<ValuePoint>* arena = nullptr;
 
-  /// Worker threads for the sibling-subtree task DAG: 1 (default) runs
-  /// the plain sequential walk, 0 resolves to the hardware concurrency,
-  /// N > 1 uses N workers. Fronts and witnesses are bit-identical for
-  /// every value (see the file comment), so this knob deliberately does
-  /// not participate in the FrontCache key; analyze_batch() raises it
-  /// for oversized items via AnalysisOptions::intra_model_threads.
-  unsigned threads = 1;
-
   /// Trees smaller than this many nodes always take the sequential walk
-  /// even when \p threads (or an external \p pool) offers more - the
-  /// per-node task bookkeeping costs more than a small tree's whole
-  /// analysis. Tests set 0 to force the parallel path on tiny models.
+  /// even when \p pool offers more than one slot - the per-node task
+  /// bookkeeping costs more than a small tree's whole analysis. Tests
+  /// set 0 to force the parallel path on tiny models.
   std::size_t parallel_node_floor = 64;
 
-  /// Optional externally-owned scheduler; when set it overrides
-  /// \p threads (subject to the floor above). analyze_batch() injects
-  /// the batch scheduler here for oversized items. Like \p arena, never
-  /// part of the FrontCache key.
+  /// Borrowed scheduler for the sibling-subtree task DAG; null (default)
+  /// runs the plain sequential walk. Fronts and witnesses are
+  /// bit-identical for every width (see the file comment), so - like
+  /// \p arena - the pointer never enters the FrontCache key. analyze()
+  /// and analyze_batch() set it.
   TaskScheduler* pool = nullptr;
 
   /// Optional per-node front memo (node_memo.hpp): gate fronts found
   /// under their subtree content key are replayed instead of recomputed,
   /// so a one-node edit re-analyzes only the root-ward dirty spine.
   /// Memoized fronts are bit-identical to a cold run by construction
-  /// (docs/CONTRACTS.md), so this knob - like threads and pool - never
+  /// (docs/CONTRACTS.md), so this knob - like pool - never
   /// enters the FrontCache key. Models with Custom domains bypass it.
   /// analyze_incremental() and analyze_batch()'s shared-memo mode set it.
   NodeFrontMemo* memo = nullptr;

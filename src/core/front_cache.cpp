@@ -52,11 +52,10 @@ void hash_bdd_options(Fnv1a& h, const BddBuOptions& options) {
 std::uint64_t options_hash(const AnalysisOptions& options) {
   // Every field that can change the produced front *or* turn a success
   // into a guard failure participates; the deadline/cancel/arena/pool
-  // pointers do not (see the header's key contract). Thread counts
-  // (intra_model_threads, naive.threads, bdd.threads) and the
-  // parallel_node_floor are likewise excluded: intra-model parallelism is
-  // result-invariant by construction, so a sequential run must hit the
-  // cache entry a sharded run stored, and vice versa.
+  // pointers do not (see the header's key contract). intra_model_threads
+  // and the parallel_node_floor are likewise excluded: intra-model
+  // parallelism is result-invariant by construction, so a sequential run
+  // must hit the cache entry a sharded run stored, and vice versa.
   Fnv1a h;
   h.u8(static_cast<std::uint8_t>(options.algorithm));
   h.size(options.naive.max_bits);

@@ -1,13 +1,10 @@
 #include "core/hybrid.hpp"
 
-#include <optional>
-
 #include "adt/modules.hpp"
 #include "adt/transform.hpp"
 #include "core/bottom_up.hpp"
 #include "core/domains.hpp"
 #include "core/node_memo.hpp"
-#include "util/parallel.hpp"
 
 namespace adtp {
 
@@ -25,10 +22,6 @@ struct HybridState {
   const Da& da;
   HybridReport& report;
   FrontArena<ValuePoint>* arena;
-  /// Scheduler shared by every blob run (owned by hybrid_analyze);
-  /// spawned lazily at the first blob that wants more than one thread,
-  /// so tree-shaped models never pay for it.
-  std::optional<TaskScheduler>& blob_pool;
 
   /// True iff gate \p v can be combined tree-style: every child is a
   /// single-parent module and the children's descendant sets are pairwise
@@ -67,8 +60,8 @@ struct HybridState {
   Front blob_front(NodeId v) {
     // Sharing reaches into this subtree: analyze the whole sub-DAG with
     // BDDBU (Theorem 2 applies to the sub-AADT as its own model). The
-    // blob inherits the BDDBU options - including the level-parallelism
-    // threads knob - and its report counters fold into the hybrid's.
+    // blob inherits the BDDBU options - including the borrowed scheduler
+    // - and its report counters fold into the hybrid's.
     const AugmentedAdt sub = extract_subgraph(aadt, v);
     ++report.blob_count;
     report.largest_blob = std::max(report.largest_blob, sub.adt().size());
@@ -76,14 +69,8 @@ struct HybridState {
     // worker 0) and some through private worker arenas; its report sums
     // them all, while the hybrid's final arena delta counts the shared
     // part again. Track the shared part to subtract it once at the end.
-    BddBuOptions blob_options = options.bdd;
-    const unsigned requested = resolve_thread_knob(blob_options.threads);
-    if (blob_options.pool == nullptr && requested > 1) {
-      if (!blob_pool) blob_pool.emplace(requested);
-      blob_options.pool = &*blob_pool;
-    }
     const CombineStats arena_before = arena->stats();
-    BddBuReport blob = bdd_bu_analyze(sub, blob_options);
+    BddBuReport blob = bdd_bu_analyze(sub, options.bdd);
     blob_arena_overlap += arena->stats().since(arena_before);
     blob_combines += blob.combine_stats;
     report.bdd_threads_used =
@@ -162,12 +149,10 @@ HybridReport hybrid_analyze(const AugmentedAdt& aadt,
   const CombineStats before = arena->stats();
   CombineStats blob_combines;
   CombineStats blob_arena_overlap;
-  std::optional<TaskScheduler> blob_pool;
   report.front = dispatch_domains(
       aadt.defender_domain(), aadt.attacker_domain(),
       [&](const auto& dd, const auto& da) {
-        HybridState state{aadt, options,  modules, dd,
-                          da,   report,   arena,   blob_pool};
+        HybridState state{aadt, options, modules, dd, da, report, arena};
         if (options.memo != nullptr && options.memo->capacity() != 0 &&
             memoizable(aadt)) {
           state.memo = options.memo;

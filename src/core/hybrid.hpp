@@ -49,8 +49,8 @@ struct HybridReport {
   /// are folded in, whichever arenas the blobs used).
   CombineStats combine_stats;
   // Parallelism counters aggregated over the per-blob BDDBU runs (the
-  // blobs inherit options.bdd.threads and share one scheduler; the
-  // tree-style walk itself is sequential).
+  // blobs share options.bdd.pool; the tree-style walk itself is
+  // sequential).
   unsigned bdd_threads_used = 1;       ///< max workers any blob ran with
   std::size_t bdd_max_level_width = 0; ///< widest BDD level of any blob
   TaskRunStats bdd_sched;              ///< summed blob task-DAG counters

@@ -9,7 +9,7 @@
 /// paper's experiments.
 ///
 /// Intra-model parallelism: the 2^|D| delta space is embarrassingly
-/// parallel, so NaiveOptions::threads shards it across a worker pool.
+/// parallel, so NaiveOptions::pool shards it across a borrowed scheduler.
 /// Results are *identical* for every thread count: the per-delta values
 /// are computed independently of the sharding, enumerate_feasible_events
 /// writes disjoint slices of one delta-ordered vector, and the front paths
@@ -49,20 +49,12 @@ struct NaiveOptions {
   /// deadline. analyze_batch() injects its batch-wide token here.
   const CancelToken* cancel = nullptr;
 
-  /// Worker threads sharding the 2^|D| delta enumeration: 1 (default)
-  /// runs sequentially on the calling thread, 0 resolves to
-  /// std::thread::hardware_concurrency(), N > 1 uses N workers (the
-  /// calling thread is one of them). Always clamped to the number of
-  /// deltas. The result is identical for every value (see the file
-  /// comment), so this knob deliberately does not participate in the
-  /// FrontCache key; analyze_batch() raises it for oversized items when
-  /// workers would otherwise sit idle.
-  unsigned threads = 1;
-
-  /// Optional externally-owned scheduler the shards run on; when set it
-  /// overrides \p threads (the shard count still honors the work floor
-  /// and delta clamp). analyze_batch() injects the batch scheduler here
-  /// for oversized items. Never part of the FrontCache key.
+  /// Borrowed scheduler sharding the 2^|D| delta enumeration; null
+  /// (default) runs sequentially on the calling thread. One shard per
+  /// slot, clamped to the number of deltas and to a per-shard work
+  /// floor. The result is identical for every width (see the file
+  /// comment), so the pointer never enters the FrontCache key.
+  /// analyze() and analyze_batch() set it.
   TaskScheduler* pool = nullptr;
 };
 

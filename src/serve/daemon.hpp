@@ -65,7 +65,8 @@ struct DaemonConfig {
   /// Worker pool size = concurrent connections served; beyond it a new
   /// connection gets a retryable over-capacity reply and is closed.
   std::size_t max_connections = 64;
-  /// Intra-model threads per analysis (0 = kernel default).
+  /// Intra-model threads per analysis (AnalysisOptions::
+  /// intra_model_threads; 0 and 1 run sequentially).
   unsigned threads = 0;
   /// Memory tier capacity of the cache.
   std::size_t memory_capacity = 256;

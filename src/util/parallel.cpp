@@ -58,6 +58,16 @@ struct RunBatch {
 
   std::atomic<std::uint64_t> steals{0};
   std::atomic<std::size_t> max_depth{0};
+
+  /// Whether \p task is one of this run's handles, decided from its
+  /// address alone: a thief may hold a pointer it has not yet won, whose
+  /// run can finish and free the handles at any moment, so the test
+  /// must never dereference it.
+  [[nodiscard]] bool owns(const ReadyTask* task) const {
+    const auto p = reinterpret_cast<std::uintptr_t>(task);
+    const auto lo = reinterpret_cast<std::uintptr_t>(handles.get());
+    return p >= lo && p - lo < graph->size() * sizeof(ReadyTask);
+  }
 };
 
 /// Chase-Lev work-stealing deque over ReadyTask pointers. The owner
@@ -112,7 +122,9 @@ class Deque {
   /// Thieves. Takes the oldest task, or returns nullptr when the deque
   /// is empty - or when \p filter is set and the oldest task belongs to
   /// a different run (a waiter helping only the graph it waits on skips
-  /// this victim; unfiltered workers will get it).
+  /// this victim; unfiltered workers will get it). The entry is only
+  /// dereferenced after the CAS wins it: until then its owner may pop
+  /// and run it, and its run may return and free it.
   ReadyTask* steal(const RunBatch* filter) {
     while (true) {
       std::int64_t t = top_.load(std::memory_order_seq_cst);
@@ -120,7 +132,7 @@ class Deque {
       if (t >= b) return nullptr;
       Ring* ring = ring_.load(std::memory_order_acquire);
       ReadyTask* task = ring->slot(t).load(std::memory_order_acquire);
-      if (filter != nullptr && task->batch != filter) return nullptr;
+      if (filter != nullptr && !filter->owns(task)) return nullptr;
       if (top_.compare_exchange_strong(t, t + 1, std::memory_order_seq_cst,
                                        std::memory_order_seq_cst)) {
         return task;
@@ -177,24 +189,26 @@ class Deque {
 }  // namespace
 
 struct TaskScheduler::Impl {
-  explicit Impl(unsigned threads) {
-    const unsigned target = resolve_thread_knob(threads);
-    deques = std::vector<Deque>(target);
-    // num_slots must be written before the first worker spawns - workers
-    // read it in find_task's steal sweep. If a spawn fails below, the
-    // unspawned slots simply keep forever-empty deques the sweep skims
-    // past; threads() reports the spawned count.
-    num_slots = target;
-    if (target > 1) {
-      workers.reserve(target - 1);
-      for (unsigned slot = 1; slot < target; ++slot) {
+  explicit Impl(unsigned threads)
+      : deques(resolve_thread_knob(threads)),
+        num_slots(static_cast<unsigned>(deques.size())) {}
+
+  /// Spawns the workers, once, at the first run() that has tasks - so a
+  /// scheduler whose callers all stay under their work floors costs no
+  /// thread. If a spawn fails, the unspawned slots keep forever-empty
+  /// deques the steal sweep skims past (only a slot's own thread ever
+  /// pushes to it), and the spawned slots run everything.
+  void spawn_workers() {
+    std::call_once(spawned, [this] {
+      workers.reserve(num_slots - 1);
+      for (unsigned slot = 1; slot < num_slots; ++slot) {
         try {
           workers.emplace_back([this, slot] { worker_loop(slot); });
         } catch (const std::system_error&) {
           break;  // keep whatever did spawn
         }
       }
-    }
+    });
   }
 
   ~Impl() {
@@ -261,7 +275,7 @@ struct TaskScheduler::Impl {
   /// top meanwhile).
   ReadyTask* find_task(unsigned slot, const RunBatch* filter) {
     if (ReadyTask* task = deques[slot].pop()) {
-      if (filter == nullptr || task->batch == filter) return task;
+      if (filter == nullptr || filter->owns(task)) return task;
       deques[slot].push(task);
     }
     const unsigned start = mix(slot) % num_slots;
@@ -438,6 +452,7 @@ struct TaskScheduler::Impl {
     }
     batch.remaining.store(n, std::memory_order_relaxed);
 
+    spawn_workers();
     if (SlotBinding* nested = find_binding()) {
       drive(batch, nested->slot);
     } else {
@@ -465,8 +480,9 @@ struct TaskScheduler::Impl {
   }
 
   std::vector<Deque> deques;
-  std::vector<std::thread> workers;
-  unsigned num_slots = 1;
+  const unsigned num_slots;
+  std::once_flag spawned;
+  std::vector<std::thread> workers;  ///< written once, inside spawned
 
   std::mutex mutex;
   std::condition_variable wake;
@@ -485,9 +501,7 @@ TaskScheduler::TaskScheduler(unsigned threads)
 
 TaskScheduler::~TaskScheduler() = default;
 
-unsigned TaskScheduler::threads() const noexcept {
-  return static_cast<unsigned>(impl_->workers.size()) + 1;
-}
+unsigned TaskScheduler::threads() const noexcept { return impl_->num_slots; }
 
 TaskRunStats TaskScheduler::run(const TaskGraph& graph) {
   return impl_->run(graph);

@@ -21,8 +21,8 @@
 /// restricted to tasks of the graph it is waiting on, so the stack depth
 /// is bounded by the nesting depth of graphs, never by the number of
 /// queued sibling tasks. This is how a batch item's intra-model phases
-/// (naive shards, BDD tasks, bottom-up folds) reuse the batch scheduler
-/// instead of the old donation handshake.
+/// (naive shards, BDD tasks, bottom-up folds) run on the batch
+/// scheduler.
 ///
 /// Determinism contract (see docs/CONTRACTS.md): the scheduler decides
 /// only *where and when* tasks run, never what they compute. Every
@@ -47,7 +47,6 @@
 #include <cstddef>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -135,17 +134,22 @@ class TaskGraph {
   std::vector<std::pair<TaskId, TaskId>> edges_;
 };
 
-/// The work-stealing pool. Construction spawns threads - 1 workers (the
-/// driving thread always executes as one more slot); destruction joins
+/// The work-stealing pool. The first run() spawns threads - 1 workers
+/// (the driving thread always executes as one more slot), so building a
+/// scheduler that never runs a graph costs no thread; destruction joins
 /// them. Slot ids are dense in [0, threads()): 0 is reserved for
 /// external drivers, 1.. are the spawned workers - callers size
 /// per-slot scratch (arenas, partial results) by threads() and index it
 /// by the slot id their tasks receive.
+///
+/// Only the analysis entry points - analyze() and analyze_batch() -
+/// construct schedulers; every kernel borrows the caller's through its
+/// options' \c pool pointer, where null means sequential.
 class TaskScheduler {
  public:
   /// A scheduler of \p threads execution slots (0 resolves like every
   /// other thread knob). Thread-creation failures degrade the pool
-  /// silently; threads() reports what actually runs.
+  /// silently: the slots whose worker failed to spawn never see a task.
   explicit TaskScheduler(unsigned threads);
   ~TaskScheduler();
 
@@ -177,11 +181,9 @@ class TaskScheduler {
 
 /// Runs fn(shard, begin, end) over a contiguous partition of [0, total)
 /// into exactly \p shards pieces. Shard results must index by the shard
-/// id (stable, scheduling-independent), not the slot id. When \p pool is
-/// null or single-slot and more than one shard is asked for, a temporary
-/// scheduler of \p shards slots is spawned for the call - the old
-/// one-shot run_sharded() shape. Exceptions rethrow by the smallest
-/// shard index, like the scheduler itself.
+/// id (stable, scheduling-independent), not the slot id. With a null
+/// \p pool the shards run in order on the calling thread. Exceptions
+/// rethrow by the smallest shard index, like the scheduler itself.
 template <typename Fn>
 void run_sharded(TaskScheduler* pool, unsigned shards, std::uint64_t total,
                  Fn&& fn) {
@@ -194,10 +196,9 @@ void run_sharded(TaskScheduler* pool, unsigned shards, std::uint64_t total,
   auto bound = [base, rem](std::uint64_t s) {
     return base * s + std::min<std::uint64_t>(s, rem);
   };
-  std::optional<TaskScheduler> owned;
-  if (pool == nullptr || pool->threads() <= 1) {
-    owned.emplace(shards);
-    pool = &*owned;
+  if (pool == nullptr) {
+    for (unsigned s = 0; s < shards; ++s) fn(s, bound(s), bound(s + 1));
+    return;
   }
   auto body = [&](unsigned, std::uint32_t s) {
     fn(static_cast<unsigned>(s), bound(s), bound(std::uint64_t{s} + 1));

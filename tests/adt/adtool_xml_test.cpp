@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "adt/structure.hpp"
 #include "core/bdd_bu.hpp"
 #include "core/naive.hpp"
@@ -169,6 +171,31 @@ TEST(AdtoolXml, MalformedInputsRejected) {
   EXPECT_THROW((void)import_adtool_xml("<adtree><node><label>&bogus;"
                                        "</label></node></adtree>"),
                ParseError);
+}
+
+/// An ADTool document whose node elements nest \p depth levels deep: a
+/// chain of one-child OR gates ending in one basic step.
+std::string nested_nodes(int depth) {
+  std::string xml = "<adtree>";
+  for (int i = 0; i < depth; ++i) {
+    xml += "<node refinement=\"disjunctive\"><label>n" + std::to_string(i) +
+           "</label>";
+  }
+  for (int i = 0; i < depth; ++i) xml += "</node>";
+  return xml + "</adtree>";
+}
+
+TEST(AdtoolXml, DeepNestingIsAParseErrorNotAStackOverflow) {
+  // ~1 MB, 20 000 levels: one recursion frame per level would overflow
+  // the stack, so nesting is capped.
+  const std::string deep = nested_nodes(20000);
+  EXPECT_GT(deep.size(), 900'000u);
+  EXPECT_THROW((void)import_adtool_xml(deep), ParseError);
+  // n nodes nest n + 2 elements deep (<adtree> and the innermost
+  // <label> included): 2048 levels is the cap, one more fails the same
+  // way.
+  EXPECT_EQ(import_adtool_xml(nested_nodes(2046)).adt.size(), 2046u);
+  EXPECT_THROW((void)import_adtool_xml(nested_nodes(2047)), ParseError);
 }
 
 TEST(AdtoolXml, MissingFileThrows) {

@@ -4,6 +4,7 @@
 
 #include "gen/catalog.hpp"
 #include "util/error.hpp"
+#include "util/parallel.hpp"
 
 namespace adtp {
 namespace {
@@ -57,10 +58,13 @@ TEST(Analyzer, IntraModelThreadsOverridesNaiveSharding) {
   // The knob shards the naive enumeration; the result is unchanged.
   options.intra_model_threads = 4;
   EXPECT_EQ(analyze(dag, options).front.to_string(), expected);
-  // An explicit naive.threads coexists: intra_model_threads == 0 leaves
-  // the per-algorithm setting alone.
-  options.intra_model_threads = 0;
-  options.naive.threads = 3;
+  // A pool the caller lent wins over the call's own scheduler.
+  TaskScheduler pool(3);
+  options.naive.pool = &pool;
+  EXPECT_EQ(analyze(dag, options).front.to_string(), expected);
+  // intra_model_threads == 1 stays sequential.
+  options.naive.pool = nullptr;
+  options.intra_model_threads = 1;
   EXPECT_EQ(analyze(dag, options).front.to_string(), expected);
 }
 

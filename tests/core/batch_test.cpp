@@ -41,10 +41,16 @@ std::vector<AugmentedAdt> random_fleet(std::size_t count,
   return fleet;
 }
 
+BatchOptions at_width(unsigned n_threads) {
+  BatchOptions batch;
+  batch.n_threads = n_threads;
+  return batch;
+}
+
 TEST(Batch, MatchesSequentialAnalyzePerTree) {
   const auto fleet = random_fleet(12, 0.2, 3);
   for (unsigned threads : {1u, 2u, 4u}) {
-    const BatchReport report = analyze_batch(fleet, {}, threads);
+    const BatchReport report = analyze_batch(fleet, {}, at_width(threads));
     ASSERT_EQ(report.items.size(), fleet.size());
     EXPECT_EQ(report.failures, 0u);
     for (std::size_t i = 0; i < fleet.size(); ++i) {
@@ -66,8 +72,8 @@ TEST(Batch, MatchesSequentialAnalyzePerTree) {
 
 TEST(Batch, ThreadCountDoesNotChangeResults) {
   const auto fleet = random_fleet(8, 0.3, 11);
-  const BatchReport one = analyze_batch(fleet, {}, 1);
-  const BatchReport four = analyze_batch(fleet, {}, 4);
+  const BatchReport one = analyze_batch(fleet, {}, at_width(1));
+  const BatchReport four = analyze_batch(fleet, {}, at_width(4));
   ASSERT_EQ(one.items.size(), four.items.size());
   for (std::size_t i = 0; i < one.items.size(); ++i) {
     ASSERT_TRUE(one.items[i].ok);
@@ -92,7 +98,7 @@ TEST(Batch, ErrorsAreIsolatedPerItem) {
   // 13 and trips the guard.
   options.naive.max_bits = 5;
 
-  const BatchReport report = analyze_batch(fleet, options, 2);
+  const BatchReport report = analyze_batch(fleet, options, at_width(2));
   ASSERT_EQ(report.items.size(), 3u);
   EXPECT_EQ(report.failures, 1u);
   EXPECT_TRUE(report.items[0].ok) << report.items[0].error;
@@ -107,9 +113,9 @@ TEST(Batch, ErrorsAreIsolatedPerItem) {
 
 TEST(Batch, NullModelsAreReportedNotFatal) {
   const AugmentedAdt model = catalog::fig3_example();
-  std::vector<const AugmentedAdt*> pointers = {&model, nullptr, &model};
-  const BatchReport report = analyze_batch(
-      std::span<const AugmentedAdt* const>(pointers), {}, 3);
+  const std::vector<BatchJob> jobs = {
+      {&model, {}}, {nullptr, {}}, {&model, {}}};
+  const BatchReport report = analyze_batch(jobs, at_width(3));
   ASSERT_EQ(report.items.size(), 3u);
   EXPECT_EQ(report.failures, 1u);
   EXPECT_TRUE(report.items[0].ok);
@@ -119,14 +125,14 @@ TEST(Batch, NullModelsAreReportedNotFatal) {
 
 TEST(Batch, EmptyBatch) {
   const BatchReport report =
-      analyze_batch(std::span<const AugmentedAdt* const>{}, {}, 4);
+      analyze_batch(std::span<const BatchJob>{}, at_width(4));
   EXPECT_TRUE(report.items.empty());
   EXPECT_EQ(report.failures, 0u);
 }
 
 TEST(Batch, ZeroThreadsMeansHardwareConcurrency) {
   const auto fleet = random_fleet(3, 0.0, 17);
-  const BatchReport report = analyze_batch(fleet, {}, 0);
+  const BatchReport report = analyze_batch(fleet, {}, at_width(0));
   EXPECT_GE(report.threads_used, 1u);
   EXPECT_LE(report.threads_used, 3u);
   EXPECT_EQ(report.failures, 0u);
@@ -134,12 +140,12 @@ TEST(Batch, ZeroThreadsMeansHardwareConcurrency) {
 
 TEST(Batch, PerItemTimingIsPopulated) {
   const auto fleet = random_fleet(4, 0.2, 23);
-  const BatchReport report = analyze_batch(fleet, {}, 2);
+  const BatchReport report = analyze_batch(fleet, {}, at_width(2));
   for (const BatchItem& item : report.items) {
     EXPECT_GE(item.seconds, 0.0);
   }
   EXPECT_GT(report.seconds, 0.0);
-  EXPECT_GT(report.trees_per_second(), 0.0);
+  EXPECT_GT(report.items_per_second(), 0.0);
 }
 
 // ---- per-item options ----------------------------------------------------
@@ -367,19 +373,15 @@ TEST(BatchServing, CallbackExceptionIsCapturedNotFatal) {
 
 // ---- throughput metrics --------------------------------------------------
 
-TEST(BatchServing, ItemsPerSecondCountsAllItemsTreesPerSecondOnlyOk) {
+TEST(BatchServing, ItemsPerSecondCountsAllItems) {
   const AugmentedAdt model = catalog::fig3_example();
-  std::vector<const AugmentedAdt*> pointers = {&model, nullptr, &model};
-  const BatchReport report = analyze_batch(
-      std::span<const AugmentedAdt* const>(pointers), {}, 2);
+  const std::vector<BatchJob> jobs = {
+      {&model, {}}, {nullptr, {}}, {&model, {}}};
+  const BatchReport report = analyze_batch(jobs, at_width(2));
   ASSERT_EQ(report.failures, 1u);
   ASSERT_GT(report.seconds, 0.0);
-  // items_per_second spans all 3 items; trees_per_second only the 2 ok
-  // ones (its denominator still includes the failure's wall-clock - the
-  // documented caveat).
+  // items_per_second spans all 3 items, the failed one included.
   EXPECT_DOUBLE_EQ(report.items_per_second() * report.seconds, 3.0);
-  EXPECT_DOUBLE_EQ(report.trees_per_second() * report.seconds, 2.0);
-  EXPECT_GT(report.items_per_second(), report.trees_per_second());
 }
 
 // ---- caching -------------------------------------------------------------
@@ -435,47 +437,33 @@ TEST(BatchServing, CacheKeysOnOptionsNotJustTheModel) {
 }
 
 TEST(BatchServing, IdleSlotsServeOversizedItemsIntraModelTasks) {
-  // One naive job on a four-wide scheduler: the item's 2^|D| shards run
-  // on the shared scheduler, so the full width stays engaged. Only the
-  // width bookkeeping is observable from outside - the result must
-  // equal the sequential run exactly (sharding is deterministic).
-  const AugmentedAdt dag = catalog::money_theft_dag();
+  // The batch width is min(n_threads, jobs). Every item borrows the
+  // batch scheduler for its own intra-model tasks - fig4 n = 9 clears
+  // the naive sharding floor, so each item's 2^|D| shards nest onto it.
+  // Only the width and the item graph are observable from outside, and
+  // results equal the sequential run exactly (sharding is
+  // deterministic).
+  const AugmentedAdt fig4 = catalog::fig4_exponential(9);
   AnalysisOptions naive;
   naive.algorithm = Algorithm::Naive;
-  const AnalysisResult sequential = analyze(dag, naive);
+  const std::string sequential = analyze(fig4, naive).front.to_string();
 
-  std::vector<BatchJob> jobs(1);
-  jobs[0].model = &dag;
-  jobs[0].options = naive;
-  BatchOptions batch;
-  batch.n_threads = 4;
-  BatchReport report = analyze_batch(jobs, batch);
-  // Sharing on: the width is NOT clamped to the job count.
-  EXPECT_EQ(report.threads_used, 4u);
-  EXPECT_GE(report.sched.tasks, 1u);  // at least the item task itself
-  ASSERT_TRUE(report.items[0].ok) << report.items[0].error;
-  EXPECT_EQ(report.items[0].result.front.to_string(),
-            sequential.front.to_string());
-
-  // Sharing off: extra slots could never see work, so the width clamps
-  // to the job count and exactly one item task runs.
-  batch.donate_intra_model = false;
-  report = analyze_batch(jobs, batch);
-  EXPECT_EQ(report.threads_used, 1u);
-  EXPECT_EQ(report.sched.tasks, 1u);
-  EXPECT_EQ(report.items[0].result.front.to_string(),
-            sequential.front.to_string());
-
-  // An explicit per-item thread knob is respected: the item spawns its
-  // own shards instead of borrowing the batch scheduler, and the result
-  // is still identical.
-  jobs[0].options.naive.threads = 2;
-  batch.donate_intra_model = true;
-  batch.n_threads = 2;
-  report = analyze_batch(jobs, batch);
-  ASSERT_TRUE(report.items[0].ok) << report.items[0].error;
-  EXPECT_EQ(report.items[0].result.front.to_string(),
-            sequential.front.to_string());
+  const struct {
+    unsigned n_threads;
+    std::size_t jobs;
+    unsigned width;
+  } cases[] = {{4, 4, 4}, {4, 2, 2}, {8, 3, 3}, {4, 1, 1}, {1, 3, 1}};
+  for (const auto& c : cases) {
+    const std::vector<BatchJob> jobs(c.jobs, BatchJob{&fig4, naive});
+    const BatchReport report = analyze_batch(jobs, at_width(c.n_threads));
+    EXPECT_EQ(report.threads_used, c.width)
+        << c.jobs << " jobs at n_threads " << c.n_threads;
+    EXPECT_EQ(report.sched.tasks, c.jobs);  // the item graph itself
+    for (const BatchItem& item : report.items) {
+      ASSERT_TRUE(item.ok) << item.error;
+      EXPECT_EQ(item.result.front.to_string(), sequential);
+    }
+  }
 }
 
 TEST(BatchServing, SharedSchedulerRunsShareTheCacheWithSequentialRuns) {
@@ -487,21 +475,26 @@ TEST(BatchServing, SharedSchedulerRunsShareTheCacheWithSequentialRuns) {
   naive.algorithm = Algorithm::Naive;
 
   FrontCache cache(16);
-  std::vector<BatchJob> jobs(1);
-  jobs[0].model = &dag;
-  jobs[0].options = naive;
+  std::vector<BatchJob> jobs = {{&dag, naive}};
 
   BatchOptions cold;
   cold.n_threads = 1;  // sequential, nothing to share
   cold.cache = &cache;
   EXPECT_EQ(analyze_batch(jobs, cold).cache_hits, 0u);
 
+  // The same job among three others: four items keep a four-wide
+  // scheduler, lent to every item.
+  const AugmentedAdt others[] = {catalog::fig3_example(),
+                                 catalog::fig5_example(),
+                                 catalog::money_theft_tree()};
+  for (const AugmentedAdt& model : others) jobs.push_back({&model, naive});
   BatchOptions warm;
-  warm.n_threads = 4;  // scheduler sharing active
+  warm.n_threads = 4;
   warm.cache = &cache;
   const BatchReport report = analyze_batch(jobs, warm);
   EXPECT_EQ(report.threads_used, 4u);
   EXPECT_EQ(report.cache_hits, 1u);
+  EXPECT_TRUE(report.items[0].cached);
 }
 
 TEST(BatchServing, CustomDomainsBypassTheCache) {

@@ -166,8 +166,9 @@ TEST(BottomUp, ParallelWalkMatchesSequentialBitForBit) {
     EXPECT_EQ(sequential.threads_used, 1u);
     EXPECT_EQ(sequential.sched.tasks, 0u);
     for (unsigned threads : {2u, 8u}) {
+      TaskScheduler pool(threads);
       BottomUpOptions options;
-      options.threads = threads;
+      options.pool = &pool;
       options.parallel_node_floor = 0;
       const BottomUpReport parallel = bottom_up_analyze(aadt, options);
       EXPECT_TRUE(
@@ -185,8 +186,9 @@ TEST(BottomUp, ParallelWitnessesMatchSequentialBitForBit) {
   const AugmentedAdt tree = catalog::money_theft_tree();
   const WitnessFront sequential = bottom_up_front_witness(tree);
   for (unsigned threads : {2u, 8u}) {
+    TaskScheduler pool(threads);
     BottomUpOptions options;
-    options.threads = threads;
+    options.pool = &pool;
     options.parallel_node_floor = 0;
     const WitnessFront parallel = bottom_up_front_witness(tree, options);
     ASSERT_TRUE(parallel.bit_identical_values(sequential));
@@ -198,11 +200,12 @@ TEST(BottomUp, ParallelWitnessesMatchSequentialBitForBit) {
 }
 
 TEST(BottomUp, NodeFloorKeepsSmallTreesSequential) {
-  // Below the floor the walk must not spin up a scheduler even when the
-  // threads knob asks for one (the default-floor path of every analyze()
-  // call on small models).
+  // Below the floor the walk must not engage the scheduler even when one
+  // is lent (the default-floor path of every analyze() call on small
+  // models).
+  TaskScheduler pool(8);
   BottomUpOptions options;
-  options.threads = 8;
+  options.pool = &pool;
   options.parallel_node_floor = 1000;
   const BottomUpReport report =
       bottom_up_analyze(catalog::fig5_example(), options);

@@ -18,6 +18,7 @@
 #include "core/node_memo.hpp"
 #include "core/whatif.hpp"
 #include "gen/random_adt.hpp"
+#include "util/parallel.hpp"
 
 namespace adtp {
 namespace {
@@ -172,8 +173,9 @@ TEST_P(IncrementalFuzz, EditSequencesStayBitIdenticalToCold) {
       // witness vectors too, at every thread count.
       const WitnessFront cold_witness = bottom_up_front_witness(current);
       for (unsigned threads : kThreadCounts) {
+        TaskScheduler pool(threads);
         BottomUpOptions bu;
-        bu.threads = threads;
+        bu.pool = &pool;
         bu.parallel_node_floor = 0;
         bu.memo = &memo;
         const WitnessFront warm = bottom_up_front_witness(current, bu);

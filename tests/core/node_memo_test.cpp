@@ -16,6 +16,7 @@
 #include "core/front_cache.hpp"
 #include "core/node_memo.hpp"
 #include "gen/catalog.hpp"
+#include "util/parallel.hpp"
 
 namespace adtp {
 namespace {
@@ -126,8 +127,9 @@ TEST(MemoizedBottomUp, WarmRunIsBitIdenticalToColdAtEveryThreadCount) {
 
   NodeFrontMemo memo;
   for (unsigned threads : kThreadCounts) {
+    TaskScheduler pool(threads);
     BottomUpOptions options;
-    options.threads = threads;
+    options.pool = &pool;
     options.parallel_node_floor = 0;
     options.memo = &memo;
     NodeMemoStats stats;
@@ -226,7 +228,7 @@ TEST(MemoKnobs, StayOutOfTheFrontCacheKey) {
   NodeMemoStats stats;
   memoized.bottom_up.memo_stats = &stats;
   AnalysisOptions grained;
-  grained.bdd.task_grain_points = 1;  // execution-only, like threads
+  grained.bdd.task_grain_points = 1;  // execution-only, like pool
   EXPECT_EQ(front_cache_key(model, plain), front_cache_key(model, memoized));
   EXPECT_EQ(front_cache_key(model, plain), front_cache_key(model, grained));
 }

@@ -111,6 +111,35 @@ TEST(Daemon, ServesTheProtocolRoundTrip) {
   server.stop();
 }
 
+TEST(Daemon, DeeplyNestedXmlIsRejectedAndServingContinues) {
+  // A 20 000-level ADTool document (~1 MB, well under the payload cap)
+  // must come back as a parse error, not take the daemon down.
+  const ScratchDir dir("deepxml");
+  DaemonConfig config;
+  config.store_dir = dir.store();
+  config.max_connections = 2;
+  DaemonServer server(dir.socket("d"), config);
+  server.start();
+
+  const int fd = connect_with_retry(server.endpoint());
+  std::string xml = "<adtree>";
+  for (int i = 0; i < 20000; ++i) {
+    xml += "<node><label>n" + std::to_string(i) + "</label>";
+  }
+  for (int i = 0; i < 20000; ++i) xml += "</node>";
+  xml += "</adtree>";
+  const JsonValue deep = analyze(fd, "xml", xml);
+  EXPECT_FALSE(deep.at("ok").as_bool());
+  EXPECT_NE(deep.at("error").as_string().find("nest"), std::string::npos)
+      << deep.at("error").as_string();
+
+  const JsonValue after =
+      analyze(fd, "text", to_text_format(catalog::fig3_example()));
+  EXPECT_TRUE(after.at("ok").as_bool());
+  ::close(fd);
+  server.stop();
+}
+
 TEST(Daemon, SurvivesAClientDisconnectStorm) {
   // Satellite fix 1: clients that hang up mid-exchange - after sending
   // a request but before reading its reply - make the daemon write

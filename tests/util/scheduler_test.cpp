@@ -362,5 +362,36 @@ TEST(SchedulerStressTest, ManyConcurrentNestedRandomDags) {
   EXPECT_TRUE(mismatched.empty());
 }
 
+// Every outer task drives many tiny nested graphs on one shared
+// scheduler, so each slot is at once a victim whose nested run finishes
+// - and frees its per-run task handles - the moment its own deque
+// drains, and a filtered helper sweeping the other slots' deques for
+// tasks of the run it waits on. A helper that peeks at a deque entry it
+// has not won must not dereference it: the owner may pop and run that
+// task, and its run() may return, in between. Oversubscribed (16 slots)
+// so helpers get preempted inside that window; ASan turns a hit into a
+// heap-use-after-free report instead of a rare segfault.
+TEST(SchedulerStressTest, NestedRunsRaceFilteredHelpers) {
+  TaskScheduler sched(16);
+  std::atomic<std::uint64_t> inner_total{0};
+  auto inner = [&](unsigned, std::uint32_t) {
+    inner_total.fetch_add(1, std::memory_order_relaxed);
+  };
+  constexpr std::uint32_t kOuter = 64;
+  constexpr int kNestedRuns = 200;
+  constexpr int kInner = 3;
+  constexpr int kRounds = 32;
+  auto outer = [&](unsigned, std::uint32_t) {
+    TaskGraph g;
+    for (int i = 0; i < kInner; ++i) g.add(inner);
+    for (int r = 0; r < kNestedRuns; ++r) sched.run(g);
+  };
+  TaskGraph g;
+  for (std::uint32_t i = 0; i < kOuter; ++i) g.add(outer, i);
+  for (int round = 0; round < kRounds; ++round) sched.run(g);
+  EXPECT_EQ(inner_total.load(),
+            std::uint64_t{kRounds} * kOuter * kNestedRuns * kInner);
+}
+
 }  // namespace
 }  // namespace adtp
