@@ -9,6 +9,13 @@ namespace {
 
 constexpr std::size_t kDefaultNodeLimit = std::size_t{16} * 1024 * 1024;
 
+/// Slots of a unique-table stripe's first array.
+constexpr std::size_t kUniqueInitialSlots = 64;
+/// Entries of a computed-cache stripe's first array, and the ceiling of
+/// the whole cache: 2^20 entries of 16 bytes (16 MB) across all stripes.
+constexpr std::size_t kCacheInitialEntries = 64;
+constexpr std::size_t kCacheTotalEntries = std::size_t{1} << 20;
+
 std::uint64_t mix(std::uint64_t x) noexcept {
   x ^= x >> 33;
   x *= 0xff51afd7ed558ccdULL;
@@ -18,24 +25,32 @@ std::uint64_t mix(std::uint64_t x) noexcept {
   return x;
 }
 
+// Both hashes pick the stripe from their top bits and the slot within
+// it from their low bits.
+std::uint64_t unique_hash(std::uint32_t v, Ref lo, Ref hi) noexcept {
+  return mix(((static_cast<std::uint64_t>(lo) << 32) | hi) ^
+             (static_cast<std::uint64_t>(v) * 0x9E3779B97F4A7C15ULL));
+}
+
+std::uint64_t cache_hash(std::uint32_t op, Ref f, Ref g) noexcept {
+  return mix(((static_cast<std::uint64_t>(f) << 32) | g) +
+             (static_cast<std::uint64_t>(op) * 0x9E3779B97F4A7C15ULL));
+}
+
+/// Puts \p r into the first empty slot at or after h's home slot.
+void place(Ref* slots, std::size_t capacity, std::uint64_t h, Ref r) noexcept {
+  std::size_t i = h & (capacity - 1);
+  while (slots[i] != 0) i = (i + 1) & (capacity - 1);
+  slots[i] = r;
+}
+
 }  // namespace
-
-std::size_t Manager::UniqueKeyHash::operator()(
-    const UniqueKey& k) const noexcept {
-  std::uint64_t h = (static_cast<std::uint64_t>(k.var) << 32) ^ k.low;
-  return static_cast<std::size_t>(mix(h ^ (static_cast<std::uint64_t>(k.high)
-                                           << 17)));
-}
-
-std::size_t Manager::CacheKeyHash::operator()(
-    const CacheKey& k) const noexcept {
-  std::uint64_t h = (static_cast<std::uint64_t>(k.f) << 32) ^ k.g;
-  return static_cast<std::size_t>(mix(h + k.op));
-}
 
 Manager::Manager(std::uint32_t num_vars, std::size_t node_limit)
     : num_vars_(num_vars),
-      node_limit_(node_limit == 0 ? kDefaultNodeLimit : node_limit) {
+      node_limit_(std::min<std::size_t>(
+          node_limit == 0 ? kDefaultNodeLimit : node_limit,
+          chunk_start(kMaxChunks))) {
   // Terminals occupy indices 0 (false) and 1 (true). Construction is
   // single-threaded, so plain allocate() is fine.
   allocate(BddNode{kTermVar, kFalse, kFalse});
@@ -112,21 +127,37 @@ Ref Manager::mk(std::uint32_t v, Ref lo, Ref hi) {
     throw ModelError("bdd: mk() would violate the variable order");
   }
   if (lo == hi) return lo;  // reduction rule 2
-  const UniqueKey key{v, lo, hi};
-  // Stripe selection uses a cheap multiplicative mix, not the full map
-  // hash (the map re-hashes internally anyway); it only needs to spread
-  // concurrent builders across the 64 locks.
-  static_assert(kStripes == 64,
-                "stripe indices take the top 6 bits of a 32-bit mix");
-  UniqueStripe& stripe =
-      unique_[((lo ^ (hi << 7) ^ (v << 13)) * 0x9E3779B1u) >> 26];
+  const std::uint64_t h = unique_hash(v, lo, hi);
+  UniqueStripe& stripe = unique_[h >> kStripeShift];
   const MaybeLock lock(stripe.mutex, concurrent_);
-  if (auto it = stripe.map.find(key); it != stripe.map.end()) {
-    ++stripe.hits;
-    return it->second;  // reduction rule 1
+  if (stripe.capacity != 0) {
+    const std::size_t mask = stripe.capacity - 1;
+    for (std::size_t i = h & mask; stripe.slots[i] != 0; i = (i + 1) & mask) {
+      const Ref r = stripe.slots[i];
+      const BddNode& n = node(r);
+      if (n.var == v && n.low == lo && n.high == hi) {
+        ++stripe.hits;
+        return r;  // reduction rule 1
+      }
+    }
   }
   const Ref ref = allocate(BddNode{v, lo, hi});
-  stripe.map.emplace(key, ref);
+  if (2 * (stripe.count + 1) > stripe.capacity) {
+    // Double at load 1/2, re-placing every key read back from the arena.
+    const std::size_t capacity =
+        std::max(kUniqueInitialSlots, 2 * stripe.capacity);
+    auto slots = std::make_unique<Ref[]>(capacity);
+    for (std::size_t j = 0; j < stripe.capacity; ++j) {
+      if (const Ref r = stripe.slots[j]; r != 0) {
+        const BddNode& n = node(r);
+        place(slots.get(), capacity, unique_hash(n.var, n.low, n.high), r);
+      }
+    }
+    stripe.slots = std::move(slots);
+    stripe.capacity = capacity;
+  }
+  place(stripe.slots.get(), stripe.capacity, h, ref);
+  ++stripe.count;
   return ref;
 }
 
@@ -134,16 +165,41 @@ Ref Manager::make_var(std::uint32_t v) { return mk(v, kFalse, kTrue); }
 
 Ref Manager::make_nvar(std::uint32_t v) { return mk(v, kTrue, kFalse); }
 
-bool Manager::terminal_of(Op op, bool a, bool b) noexcept {
-  switch (op) {
-    case Op::And:
-      return a && b;
-    case Op::Or:
-      return a || b;
-    case Op::Xor:
-      return a != b;
+std::optional<Ref> Manager::cache_lookup(Op op, Ref f, Ref g) {
+  const std::uint64_t h = cache_hash(static_cast<std::uint32_t>(op), f, g);
+  CacheStripe& stripe = cache_[h >> kStripeShift];
+  const MaybeLock lock(stripe.mutex, concurrent_);
+  if (stripe.capacity != 0) {
+    const CacheEntry& e = stripe.entries[h & (stripe.capacity - 1)];
+    if (e.op == op && e.f == f && e.g == g) {
+      ++stripe.hits;
+      return e.result;
+    }
   }
-  return false;
+  ++stripe.misses;
+  return std::nullopt;
+}
+
+void Manager::cache_insert(Op op, Ref f, Ref g, Ref result) {
+  const std::uint64_t h = cache_hash(static_cast<std::uint32_t>(op), f, g);
+  CacheStripe& stripe = cache_[h >> kStripeShift];
+  const MaybeLock lock(stripe.mutex, concurrent_);
+  if (++stripe.inserts > stripe.capacity &&
+      stripe.capacity < kCacheTotalEntries / kStripes) {
+    // Double while inserts outnumber slots, keeping what still fits.
+    const std::size_t capacity =
+        std::max(kCacheInitialEntries, 2 * stripe.capacity);
+    auto entries = std::make_unique<CacheEntry[]>(capacity);
+    for (std::size_t j = 0; j < stripe.capacity; ++j) {
+      const CacheEntry& e = stripe.entries[j];
+      if (e.op == Op{}) continue;
+      entries[cache_hash(static_cast<std::uint32_t>(e.op), e.f, e.g) &
+              (capacity - 1)] = e;
+    }
+    stripe.entries = std::move(entries);
+    stripe.capacity = capacity;
+  }
+  stripe.entries[h & (stripe.capacity - 1)] = CacheEntry{f, g, result, op};
 }
 
 Ref Manager::apply(Op op, Ref f, Ref g) {
@@ -168,26 +224,16 @@ Ref Manager::apply(Op op, Ref f, Ref g) {
       if (f == kTrue) return apply_not(g);
       if (g == kTrue) return apply_not(f);
       break;
+    default:  // apply() only takes the binary operations
+      break;
   }
 
   // Normalize commutative operands for better cache hit rates.
   if (f > g) std::swap(f, g);
-  const CacheKey key{static_cast<std::uint8_t>(op), f, g};
-  CacheStripe& stripe =
-      cache_[((f ^ (g << 9) ^ (static_cast<std::uint32_t>(key.op) << 17)) *
-              0x9E3779B1u) >>
-             26];
-  {
-    const MaybeLock lock(stripe.mutex, concurrent_);
-    if (auto it = stripe.map.find(key); it != stripe.map.end()) {
-      ++stripe.hits;
-      return it->second;
-    }
-    ++stripe.misses;
-  }
-  // The stripe lock is NOT held across the recursion: two threads may
-  // race the same apply and both compute it, but hash consing makes the
-  // results identical, so the second insert below is a no-op.
+  if (const auto cached = cache_lookup(op, f, g)) return *cached;
+  // No lock is held across the recursion: two threads may race the same
+  // apply and both compute it, but hash consing makes the results
+  // identical, so the second insert below stores the same result.
 
   const std::uint32_t fv = is_terminal(f) ? kTermVar : node(f).var;
   const std::uint32_t gv = is_terminal(g) ? kTermVar : node(g).var;
@@ -201,10 +247,7 @@ Ref Manager::apply(Op op, Ref f, Ref g) {
   const Ref lo = apply(op, f0, g0);
   const Ref hi = apply(op, f1, g1);
   const Ref result = mk(v, lo, hi);
-  {
-    const MaybeLock lock(stripe.mutex, concurrent_);
-    stripe.map.emplace(key, result);
-  }
+  cache_insert(op, f, g, result);
   return result;
 }
 
@@ -215,22 +258,10 @@ Ref Manager::apply_xor(Ref f, Ref g) { return apply(Op::Xor, f, g); }
 Ref Manager::apply_not(Ref f) {
   if (f == kFalse) return kTrue;
   if (f == kTrue) return kFalse;
-  const CacheKey key{0xFF, f, 0};
-  CacheStripe& stripe = cache_[((f ^ 0xFFu) * 0x9E3779B1u) >> 26];
-  {
-    const MaybeLock lock(stripe.mutex, concurrent_);
-    if (auto it = stripe.map.find(key); it != stripe.map.end()) {
-      ++stripe.hits;
-      return it->second;
-    }
-    ++stripe.misses;
-  }
+  if (const auto cached = cache_lookup(Op::Not, f, 0)) return *cached;
   const Ref result =
       mk(node(f).var, apply_not(node(f).low), apply_not(node(f).high));
-  {
-    const MaybeLock lock(stripe.mutex, concurrent_);
-    stripe.map.emplace(key, result);
-  }
+  cache_insert(Op::Not, f, 0, result);
   return result;
 }
 
@@ -244,9 +275,13 @@ Ref Manager::restrict_var(Ref f, std::uint32_t v, bool value) {
   const BddNode& n = node(f);
   if (n.var > v) return f;  // v does not occur below here
   if (n.var == v) return value ? n.high : n.low;
+  const Op op = value ? Op::Restrict1 : Op::Restrict0;
+  if (const auto cached = cache_lookup(op, f, v)) return *cached;
   const Ref lo = restrict_var(n.low, v, value);
   const Ref hi = restrict_var(n.high, v, value);
-  return mk(n.var, lo, hi);
+  const Ref result = mk(n.var, lo, hi);
+  cache_insert(op, f, v, result);
+  return result;
 }
 
 bool Manager::evaluate(Ref f, const std::vector<bool>& assignment) const {
@@ -261,27 +296,32 @@ bool Manager::evaluate(Ref f, const std::vector<bool>& assignment) const {
 }
 
 double Manager::sat_count(Ref f) const {
-  // Count over reachable nodes, then scale by skipped variables.
+  // Count over reachable nodes, then scale by skipped variables. counts[i]
+  // belongs to order[i]; order ascends, so a child's position is found by
+  // binary search and is always already filled.
   const auto order = reachable(f);
-  std::unordered_map<Ref, double> counts;
-  for (Ref r : order) {
-    if (r == kFalse) {
-      counts[r] = 0;
-    } else if (r == kTrue) {
-      counts[r] = 1;
-    } else {
-      const BddNode& n = node(r);
-      auto weight = [&](Ref child) {
-        const std::uint32_t child_var =
-            is_terminal(child) ? num_vars_ : node(child).var;
-        const double skipped = static_cast<double>(child_var - n.var - 1);
-        return counts.at(child) * std::pow(2.0, skipped);
-      };
-      counts[r] = weight(n.low) + weight(n.high);
+  std::vector<double> counts(order.size());
+  auto count_of = [&](Ref r) {
+    return counts[static_cast<std::size_t>(
+        std::lower_bound(order.begin(), order.end(), r) - order.begin())];
+  };
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    const Ref r = order[i];
+    if (is_terminal(r)) {
+      counts[i] = r == kTrue ? 1 : 0;
+      continue;
     }
+    const BddNode& n = node(r);
+    auto weight = [&](Ref child) {
+      const std::uint32_t child_var =
+          is_terminal(child) ? num_vars_ : node(child).var;
+      const double skipped = static_cast<double>(child_var - n.var - 1);
+      return count_of(child) * std::pow(2.0, skipped);
+    };
+    counts[i] = weight(n.low) + weight(n.high);
   }
   const std::uint32_t root_var = is_terminal(f) ? num_vars_ : node(f).var;
-  return counts.at(f) * std::pow(2.0, static_cast<double>(root_var));
+  return count_of(f) * std::pow(2.0, static_cast<double>(root_var));
 }
 
 std::size_t Manager::size(Ref f) const { return reachable(f).size(); }

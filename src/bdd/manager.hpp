@@ -6,28 +6,41 @@
 ///  - nodes are (var, low, high) triples hash-consed in a unique table, so
 ///    structurally equal functions share one node (reduction rule 1);
 ///  - mk() collapses nodes with identical children (reduction rule 2);
-///  - binary operations go through a memoized apply(); negation has its own
-///    memoized recursion.
+///  - binary operations go through a memoized apply(); negation and
+///    restriction have their own memoized recursions.
 ///
 /// Variables are dense indices 0..num_vars-1 and the index *is* the order:
 /// smaller variables are tested closer to the root. Mapping ADT leaves to
 /// variable indices (including the paper's defense-first orders) is the job
 /// of bdd/order.hpp.
 ///
+/// Storage: nodes live in a chunked arena whose chunks never move, so a
+/// published Ref (one obtained from any manager operation) can always be
+/// dereferenced without a lock. The unique table and the computed cache
+/// are flat arrays, each split into kStripes shards by the top bits of
+/// the key's hash. A unique-table shard is an open-addressing array of
+/// Refs (0 marks an empty slot; terminals are never stored) probed
+/// linearly; a slot's key (var, low, high) is read back from the arena.
+/// It is allocated on the first insert and doubles at load 1/2. A
+/// computed-cache shard is a direct-mapped array of {f, g, result, op}
+/// entries in which a colliding insert overwrites the old entry; it
+/// doubles while its inserts outnumber its slots, up to a fixed ceiling
+/// for the whole cache. The cache is lossy, not the table: an evicted
+/// operation recomputes into nodes that already exist, so the node set,
+/// the node count and (in serial use) the node numbering are those of an
+/// unbounded cache. Destroying a manager frees the arena chunks and the
+/// 2 x kStripes arrays, not one heap node per entry.
+///
 /// Concurrency: the manager supports *concurrent construction* - mk() and
 /// the apply family may be called from several threads at once (the
 /// level-parallel builder in bdd/build.cpp does exactly that) once
-/// enter_concurrent_mode() has been called. The unique table and the
-/// computed cache are striped: each of kStripes shards owns its own mutex
-/// and hash map, so threads building independent subtrees rarely contend;
-/// outside concurrent mode the stripe locks are skipped entirely, keeping
-/// the serial hot path as fast as a single-map design. Node storage is a
-/// chunked arena whose chunks never move, making node reads lock-free in
-/// both modes; a published Ref (one obtained from any manager operation)
-/// can always be dereferenced safely. The *set* of nodes a build creates
-/// is canonical, so node counts and every structural query are identical
-/// for every thread count - only node indices may be permuted between
-/// runs.
+/// enter_concurrent_mode() has been called. Each shard owns a mutex that
+/// guards its array, including the array's growth, so threads building
+/// independent subtrees rarely contend; outside concurrent mode the shard
+/// locks are skipped entirely, keeping the serial hot path lock-free.
+/// The *set* of nodes a build creates is canonical, so node counts and
+/// every structural query are identical for every thread count - only
+/// node indices may be permuted between runs.
 ///
 /// Nodes are never garbage collected: the analyses in this library build a
 /// bounded number of functions per manager, and node indices stay stable,
@@ -41,10 +54,11 @@
 #include <atomic>
 #include <bit>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "util/error.hpp"
@@ -66,9 +80,10 @@ struct BddNode {
 
 /// Aggregate statistics of a manager (for benches and reports). Counter
 /// values are exact after construction quiesces; num_nodes is always
-/// exact. Note that cache hit/miss tallies can vary across thread counts
-/// (racing threads may both miss the same apply before one publishes) -
-/// the produced BDD never does.
+/// exact. Note that cache hit/miss and unique-hit tallies can vary
+/// across thread counts (racing threads may both miss the same apply
+/// before one publishes, and the lossy cache evicts in a different order)
+/// - the produced BDD never does.
 struct ManagerStats {
   std::size_t num_nodes = 0;     ///< total allocated, incl. both terminals
   std::size_t unique_hits = 0;   ///< mk() calls answered from the table
@@ -79,7 +94,8 @@ struct ManagerStats {
 class Manager {
  public:
   /// A manager over \p num_vars variables; \p node_limit bounds the total
-  /// number of allocated nodes (0 means the default of 16M).
+  /// number of allocated nodes (0 means the default of 16M; larger values
+  /// are clamped to the 2^32 - 1024 nodes a Ref can address).
   explicit Manager(std::uint32_t num_vars, std::size_t node_limit = 0);
 
   [[nodiscard]] std::uint32_t num_vars() const noexcept { return num_vars_; }
@@ -125,7 +141,8 @@ class Manager {
   /// if-then-else: f ? g : h.
   Ref ite(Ref f, Ref g, Ref h);
 
-  /// Cofactor: f with variable \p v fixed to \p value.
+  /// Cofactor: f with variable \p v fixed to \p value. Memoized, so its
+  /// cost is linear in the nodes above \p v, not in the paths.
   Ref restrict_var(Ref f, std::uint32_t v, bool value);
 
   /// Evaluates f under a full assignment (index = variable).
@@ -156,42 +173,46 @@ class Manager {
       Ref f, Ref target, std::size_t max_paths = 1u << 20) const;
 
  private:
-  enum class Op : std::uint8_t { And, Or, Xor };
-
-  struct UniqueKey {
-    std::uint32_t var;
-    Ref low;
-    Ref high;
-    bool operator==(const UniqueKey&) const = default;
-  };
-  struct UniqueKeyHash {
-    std::size_t operator()(const UniqueKey& k) const noexcept;
-  };
-  struct CacheKey {
-    std::uint8_t op;  // Op, or 0xFF for NOT
-    Ref f;
-    Ref g;
-    bool operator==(const CacheKey&) const = default;
-  };
-  struct CacheKeyHash {
-    std::size_t operator()(const CacheKey& k) const noexcept;
+  /// Computed-cache tags. 0 marks an empty cache entry; the restrict
+  /// tags key (f, variable).
+  enum class Op : std::uint32_t {
+    And = 1,
+    Or,
+    Xor,
+    Not,
+    Restrict0,
+    Restrict1
   };
 
   /// Lock shards of the unique table / computed cache. 64 stripes keep
   /// 8-16 concurrent builders mostly contention-free while the per-stripe
-  /// maps stay small enough to be cheap for tiny managers.
+  /// arrays stay small for tiny managers.
   static constexpr std::size_t kStripes = 64;
+  static constexpr unsigned kStripeShift = 58;  // top 6 bits of a hash
+  static_assert(kStripes == std::size_t{1} << (64 - kStripeShift));
 
+  // Every field below a stripe's mutex is guarded by it.
   struct UniqueStripe {
     mutable std::mutex mutex;  // mutable: stats() locks through const this
-    std::unordered_map<UniqueKey, Ref, UniqueKeyHash> map;
-    std::size_t hits = 0;  ///< guarded by mutex
+    std::unique_ptr<Ref[]> slots;  ///< 0 = empty; null until first insert
+    std::size_t capacity = 0;      ///< a power of two, or 0
+    std::size_t count = 0;         ///< occupied slots
+    std::size_t hits = 0;
   };
+  struct CacheEntry {
+    Ref f;
+    Ref g;
+    Ref result;
+    Op op;
+  };
+  static_assert(sizeof(CacheEntry) == 16);
   struct CacheStripe {
     mutable std::mutex mutex;
-    std::unordered_map<CacheKey, Ref, CacheKeyHash> map;
-    std::size_t hits = 0;    ///< guarded by mutex
-    std::size_t misses = 0;  ///< guarded by mutex
+    std::unique_ptr<CacheEntry[]> entries;  ///< null until first insert
+    std::size_t capacity = 0;               ///< a power of two, or 0
+    std::size_t inserts = 0;
+    std::size_t hits = 0;
+    std::size_t misses = 0;
   };
 
   // Chunked node arena: chunk c holds 2^(kFirstChunkBits + c) nodes and
@@ -199,7 +220,10 @@ class Manager {
   // while small managers only ever touch the first 1K-node chunk. Chunks
   // never move, which is what makes node() lock-free.
   static constexpr std::uint32_t kFirstChunkBits = 10;
-  static constexpr std::size_t kMaxChunks = 33;
+  static constexpr std::size_t kMaxChunks = 22;
+  static_assert(((std::uint64_t{1} << kMaxChunks) - 1) << kFirstChunkBits <=
+                    std::numeric_limits<Ref>::max(),
+                "every chunk_start(c), c <= kMaxChunks, must fit in a Ref");
 
   static std::uint32_t chunk_of(Ref f) noexcept {
     return static_cast<std::uint32_t>(
@@ -237,7 +261,12 @@ class Manager {
   Ref allocate(const BddNode& n);
 
   Ref apply(Op op, Ref f, Ref g);
-  [[nodiscard]] static bool terminal_of(Op op, bool a, bool b) noexcept;
+
+  /// The cached result of (op, f, g), if the cache still holds it;
+  /// counts the hit or miss.
+  std::optional<Ref> cache_lookup(Op op, Ref f, Ref g);
+  /// Stores (op, f, g) -> result, overwriting whatever shared its slot.
+  void cache_insert(Op op, Ref f, Ref g, Ref result);
 
   std::uint32_t num_vars_;
   std::size_t node_limit_;

@@ -2,7 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <map>
+
+#include "bdd/build.hpp"
+#include "bdd/order.hpp"
+#include "gen/random_adt.hpp"
 #include "util/error.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 
 namespace adtp::bdd {
@@ -209,6 +216,140 @@ TEST(BddManager, CacheStatisticsMove) {
   (void)m.apply_and(y, x);  // commutative normalization -> cache hit
   EXPECT_GT(m.stats().cache_hits, 0u);
   EXPECT_EQ(m.stats().cache_misses, misses);
+}
+
+/// Unique-table and computed-cache operations so far (lookups that hit
+/// plus new nodes, cache hits plus misses).
+std::size_t table_ops(const Manager& m) {
+  const ManagerStats s = m.stats();
+  return s.num_nodes + s.unique_hits + s.cache_hits + s.cache_misses;
+}
+
+TEST(BddManager, RestrictIsLinearInNodesNotPaths) {
+  // Parity of n variables: 2 nodes per level but 2^(n-1) root-to-terminal
+  // paths. Restricting the last variable costs a few table operations
+  // per node when restrict is memoized; a path walk would do ~2^n mk()
+  // calls (and at 48 variables never finish).
+  for (const std::uint32_t num_vars : {20u, 48u}) {
+    Manager m(num_vars);
+    Ref parity = kFalse;
+    Ref parity_but_last = kFalse;
+    for (std::uint32_t v = 0; v < num_vars; ++v) {
+      if (v + 1 == num_vars) parity_but_last = parity;
+      parity = m.apply_xor(parity, m.make_var(v));
+    }
+    const std::size_t nodes = m.size(parity);
+    const std::size_t ops = table_ops(m);
+    const Ref low = m.restrict_var(parity, num_vars - 1, false);
+    const Ref high = m.restrict_var(parity, num_vars - 1, true);
+    ASSERT_LE(table_ops(m) - ops, 8 * nodes) << num_vars << " variables";
+    EXPECT_EQ(low, parity_but_last);
+    EXPECT_EQ(high, m.apply_not(parity_but_last));
+
+    // Truth table spot checks against the XOR of the assignment.
+    Rng rng(num_vars);
+    for (int trial = 0; trial < 256; ++trial) {
+      std::vector<bool> bits(num_vars);
+      bool expected_low = false;
+      for (std::uint32_t v = 0; v < num_vars; ++v) {
+        bits[v] = rng.below(2) != 0;
+        if (v + 1 < num_vars) expected_low = expected_low != bits[v];
+      }
+      EXPECT_EQ(m.evaluate(low, bits), expected_low);
+      EXPECT_EQ(m.evaluate(high, bits), !expected_low);
+    }
+  }
+}
+
+TEST(BddManager, EvictedApplyRecomputesIntoExistingNodes) {
+  // OR over i of (x_i AND x_{n+i}) under the order x_0..x_{2n-1} has
+  // ~2^(n+1) nodes, and folding it in creates far more computed-cache
+  // entries than the bounded cache keeps.
+  constexpr std::uint32_t kPairs = 14;
+  Manager m(2 * kPairs);
+  struct Step {
+    Ref acc;
+    Ref term;
+    Ref result;
+  };
+  std::vector<Step> steps;
+  Ref acc = kFalse;
+  for (std::uint32_t i = 0; i < kPairs; ++i) {
+    const Ref term = m.apply_and(m.make_var(i), m.make_var(kPairs + i));
+    const Ref next = m.apply_or(acc, term);
+    steps.push_back({acc, term, next});
+    acc = next;
+  }
+  const std::size_t nodes = m.num_nodes();
+  const std::size_t misses = m.stats().cache_misses;
+  for (const Step& s : steps) {
+    EXPECT_EQ(m.apply_or(s.acc, s.term), s.result);
+  }
+  EXPECT_GT(m.stats().cache_misses, misses)
+      << "the replay should have recomputed evicted applies";
+  EXPECT_EQ(m.num_nodes(), nodes);
+  EXPECT_NEAR(m.sat_count(acc),
+              std::pow(2.0, 2 * kPairs) - std::pow(3.0, kPairs), 1.0);
+}
+
+/// True when \p f of \p a and \p g of \p b are the same function:
+/// ROBDDs under one variable order are canonical, so that means the two
+/// graphs are isomorphic.
+bool same_function(const Manager& a, Ref f, const Manager& b, Ref g,
+                   std::map<Ref, Ref>& matched) {
+  if (a.is_terminal(f) || b.is_terminal(g)) return f == g;
+  if (const auto it = matched.find(f); it != matched.end()) {
+    return it->second == g;
+  }
+  if (a.var(f) != b.var(g) ||
+      !same_function(a, a.low(f), b, b.low(g), matched) ||
+      !same_function(a, a.high(f), b, b.high(g), matched)) {
+    return false;
+  }
+  matched.emplace(f, g);
+  return true;
+}
+
+TEST(BddManager, ConcurrentBuildMatchesSerialAcrossTableGrowth) {
+  // Paper-recipe DAGs whose builds allocate 35k..57k nodes: at least
+  // ~550 keys per unique-table stripe, i.e. several doublings from the
+  // first array, all of them racing on eight workers.
+  TaskScheduler pool(8);
+  for (const std::uint64_t seed : {7, 18, 28, 30}) {
+    RandomAdtOptions gen;
+    gen.target_nodes = 300;
+    gen.share_probability = 0.2;
+    gen.max_defenses = 16;
+    const Adt adt = generate_random_adt(gen, seed);
+    const VarOrder order = VarOrder::defense_first(adt);
+
+    Manager serial(order.num_vars());
+    const std::vector<Ref> expected = build_all(serial, adt, order);
+    Manager concurrent(order.num_vars());
+    BuildOptions options;
+    options.pool = &pool;
+    const std::vector<Ref> got = build_all(concurrent, adt, order, options);
+    ASSERT_TRUE(concurrent.concurrent_mode());
+    ASSERT_GE(serial.num_nodes(), std::size_t{1} << 15) << "seed " << seed;
+    EXPECT_EQ(concurrent.num_nodes(), serial.num_nodes()) << "seed " << seed;
+
+    const Ref root = got[adt.root()];
+    const Ref serial_root = expected[adt.root()];
+    EXPECT_EQ(concurrent.size(root), serial.size(serial_root));
+    std::map<Ref, Ref> matched;
+    for (NodeId v = 0; v < adt.size(); ++v) {
+      ASSERT_TRUE(same_function(serial, expected[v], concurrent, got[v],
+                                matched))
+          << "seed " << seed << " node " << v;
+    }
+    Rng rng(seed);
+    for (int trial = 0; trial < 256; ++trial) {
+      std::vector<bool> bits(order.num_vars());
+      for (std::size_t v = 0; v < bits.size(); ++v) bits[v] = rng.below(2) != 0;
+      ASSERT_EQ(concurrent.evaluate(root, bits),
+                serial.evaluate(serial_root, bits));
+    }
+  }
 }
 
 }  // namespace
