@@ -1,6 +1,5 @@
 /// Single-huge-DAG BDD scaling suite: the workload PR 4's batch pool
-/// could not touch (one model, one core). Measures the task-DAG
-/// (work-stealing) BDD construction + Pareto propagation at 1..N worker
+/// could not touch (one model, one core). Runs BDDBU at 1..N worker
 /// threads on
 ///
 ///  - the Fig. 4 worst-case family (wide levels, exponential fronts: the
@@ -10,7 +9,9 @@
 /// reporting per-phase times, speedups over the sequential run, the
 /// scheduler counters (tasks / steals / peak ready-queue depth), and a
 /// bit-identical front check (the determinism contract of
-/// BddBuOptions::pool).
+/// BddBuOptions::pool). The BDD build is serial in every row; only the
+/// task-DAG propagation uses the threads, so the build column measures
+/// the same work at every thread count.
 ///
 /// Usage: bench_bdd_scaling [--fig4-n N] [--dag-nodes N] [--threads T]
 ///                          [--repeats R] [--json PATH]
@@ -146,7 +147,7 @@ int main(int argc, char** argv) {
   const std::size_t repeats = bench::arg_size_t(argc, argv, "--repeats", 3);
   const auto json_path = bench::arg_value(argc, argv, "--json");
 
-  bench::banner("BDD level-parallel scaling (1 vs N threads, one DAG)");
+  bench::banner("BDD propagate scaling (1 vs N threads, one DAG)");
   bench::assert_kernel_guards(catalog::fig3_example());
 
   RandomAdtOptions dag_options;

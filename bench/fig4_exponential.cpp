@@ -13,10 +13,10 @@
 /// bench-smoke artifact).
 ///
 /// With --bdd-threads T (> 1) every row additionally runs BDDBU with a
-/// T-slot work-stealing task-DAG build + propagate, reports the speedup
-/// over the sequential run, and verifies the fronts are bit-identical -
-/// the single-huge-DAG scaling measurement of the intra-model
-/// parallelism work (bench_bdd_scaling covers more shapes).
+/// T-slot work-stealing task-DAG propagate (the BDD build stays serial),
+/// reports the speedup over the sequential run, and verifies the fronts
+/// are bit-identical - the single-huge-DAG scaling measurement of the
+/// intra-model parallelism work (bench_bdd_scaling covers more shapes).
 ///
 /// Usage: bench_fig4_exponential [--max-n N] [--naive-max N] [--json PATH]
 ///                               [--bdd-threads T]

@@ -346,13 +346,13 @@ void BM_Fig4BottomUp(benchmark::State& state) {
 }
 BENCHMARK(BM_Fig4BottomUp)->Arg(4)->Arg(8)->Arg(10);
 
-// ---- level-parallel BDD engine ------------------------------------------
+// ---- pooled BDD propagation ---------------------------------------------
 //
-// The Fig. 4 family at n = 14 is the acceptance workload of the
-// level-parallel propagate: ~3 * 2^n BDD nodes, levels up to 2^(n-1)
-// wide, exponential fronts at the defense levels. Thread counts beyond
-// the machine's cores still run (and stay bit-identical) but cannot
-// speed up further.
+// The Fig. 4 family at n = 14 is the acceptance workload of the pooled
+// propagate: ~3 * 2^n BDD nodes, levels up to 2^(n-1) wide, exponential
+// fronts at the defense levels. The build is serial at every thread
+// count. Thread counts beyond the machine's cores still run (and stay
+// bit-identical) but cannot speed up further.
 
 void BM_BddPropagateThreads(benchmark::State& state) {
   const AugmentedAdt fig4 = catalog::fig4_exponential(14);
@@ -367,22 +367,6 @@ void BM_BddPropagateThreads(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BddPropagateThreads)->Arg(1)->Arg(2)->Arg(8)
-    ->Unit(benchmark::kMillisecond)->UseRealTime();
-
-void BM_BddBuildThreads(benchmark::State& state) {
-  // Construction-heavy shape: a large shared DAG, fronts stay small.
-  const AugmentedAdt dag = random_dag(400, 23);
-  const auto order = bdd::VarOrder::defense_first(dag.adt());
-  TaskScheduler pool(static_cast<unsigned>(state.range(0)));
-  bdd::BuildOptions options;
-  options.pool = &pool;
-  for (auto _ : state) {
-    bdd::Manager manager(order.num_vars());
-    benchmark::DoNotOptimize(
-        bdd::build_structure_function(manager, dag.adt(), order, options));
-  }
-}
-BENCHMARK(BM_BddBuildThreads)->Arg(1)->Arg(2)->Arg(8)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 // ---- SIMD Pareto kernels -------------------------------------------------

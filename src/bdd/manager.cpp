@@ -9,10 +9,10 @@ namespace {
 
 constexpr std::size_t kDefaultNodeLimit = std::size_t{16} * 1024 * 1024;
 
-/// Slots of a unique-table stripe's first array.
+/// Slots of the unique table's first array.
 constexpr std::size_t kUniqueInitialSlots = 64;
-/// Entries of a computed-cache stripe's first array, and the ceiling of
-/// the whole cache: 2^20 entries of 16 bytes (16 MB) across all stripes.
+/// Entries of a computed-cache slice's first array, and the ceiling of
+/// the whole cache: 2^20 entries of 16 bytes (16 MB) across all slices.
 constexpr std::size_t kCacheInitialEntries = 64;
 constexpr std::size_t kCacheTotalEntries = std::size_t{1} << 20;
 
@@ -25,8 +25,9 @@ std::uint64_t mix(std::uint64_t x) noexcept {
   return x;
 }
 
-// Both hashes pick the stripe from their top bits and the slot within
-// it from their low bits.
+// The unique table takes its slot from the low bits of unique_hash();
+// the cache takes the slice from the top bits of cache_hash() and the
+// entry within it from the low bits.
 std::uint64_t unique_hash(std::uint32_t v, Ref lo, Ref hi) noexcept {
   return mix(((static_cast<std::uint64_t>(lo) << 32) | hi) ^
              (static_cast<std::uint64_t>(v) * 0x9E3779B97F4A7C15ULL));
@@ -51,43 +52,33 @@ Manager::Manager(std::uint32_t num_vars, std::size_t node_limit)
       node_limit_(std::min<std::size_t>(
           node_limit == 0 ? kDefaultNodeLimit : node_limit,
           chunk_start(kMaxChunks))) {
-  // Terminals occupy indices 0 (false) and 1 (true). Construction is
-  // single-threaded, so plain allocate() is fine.
+  // Terminals occupy indices 0 (false) and 1 (true).
   allocate(BddNode{kTermVar, kFalse, kFalse});
   allocate(BddNode{kTermVar, kTrue, kTrue});
 }
 
 Ref Manager::allocate(const BddNode& n) {
-  const MaybeLock lock(alloc_mutex_, concurrent_);
-  const std::uint32_t idx = size_.load(std::memory_order_relaxed);
+  const std::uint32_t idx = size_;
   if (idx >= node_limit_) {
     throw LimitError("bdd: node limit of " + std::to_string(node_limit_) +
                      " exceeded (the variable order may be adversarial for "
                      "this model)");
   }
   const std::uint32_t c = chunk_of(idx);
-  BddNode* chunk = chunks_[c].load(std::memory_order_relaxed);
-  if (chunk == nullptr) {
-    auto fresh =
+  if (chunks_[c] == nullptr) {
+    chunks_[c] =
         std::make_unique<BddNode[]>(std::size_t{1} << (kFirstChunkBits + c));
-    chunk = fresh.get();
-    chunk_storage_.push_back(std::move(fresh));
-    chunks_[c].store(chunk, std::memory_order_release);
   }
-  chunk[idx - chunk_start(c)] = n;
-  size_.store(idx + 1, std::memory_order_release);
+  chunks_[c][idx - chunk_start(c)] = n;
+  size_ = idx + 1;
   return idx;
 }
 
 ManagerStats Manager::stats() const {
   ManagerStats out;
   out.num_nodes = num_nodes();
-  for (const UniqueStripe& s : unique_) {
-    const std::lock_guard<std::mutex> lock(s.mutex);
-    out.unique_hits += s.hits;
-  }
-  for (const CacheStripe& s : cache_) {
-    const std::lock_guard<std::mutex> lock(s.mutex);
+  out.unique_hits = unique_hits_;
+  for (const CacheSlice& s : cache_) {
     out.cache_hits += s.hits;
     out.cache_misses += s.misses;
   }
@@ -117,8 +108,7 @@ Ref Manager::mk(std::uint32_t v, Ref lo, Ref hi) {
                      " out of range (num_vars = " + std::to_string(num_vars_) +
                      ")");
   }
-  const std::uint32_t allocated = size_.load(std::memory_order_acquire);
-  if (lo >= allocated || hi >= allocated) {
+  if (lo >= size_ || hi >= size_) {
     throw ModelError("bdd: mk() child out of range");
   }
   // Ordering invariant: children must test strictly later variables.
@@ -128,36 +118,34 @@ Ref Manager::mk(std::uint32_t v, Ref lo, Ref hi) {
   }
   if (lo == hi) return lo;  // reduction rule 2
   const std::uint64_t h = unique_hash(v, lo, hi);
-  UniqueStripe& stripe = unique_[h >> kStripeShift];
-  const MaybeLock lock(stripe.mutex, concurrent_);
-  if (stripe.capacity != 0) {
-    const std::size_t mask = stripe.capacity - 1;
-    for (std::size_t i = h & mask; stripe.slots[i] != 0; i = (i + 1) & mask) {
-      const Ref r = stripe.slots[i];
+  if (unique_capacity_ != 0) {
+    const std::size_t mask = unique_capacity_ - 1;
+    for (std::size_t i = h & mask; unique_[i] != 0; i = (i + 1) & mask) {
+      const Ref r = unique_[i];
       const BddNode& n = node(r);
       if (n.var == v && n.low == lo && n.high == hi) {
-        ++stripe.hits;
+        ++unique_hits_;
         return r;  // reduction rule 1
       }
     }
   }
   const Ref ref = allocate(BddNode{v, lo, hi});
-  if (2 * (stripe.count + 1) > stripe.capacity) {
+  if (2 * (unique_count_ + 1) > unique_capacity_) {
     // Double at load 1/2, re-placing every key read back from the arena.
     const std::size_t capacity =
-        std::max(kUniqueInitialSlots, 2 * stripe.capacity);
+        std::max(kUniqueInitialSlots, 2 * unique_capacity_);
     auto slots = std::make_unique<Ref[]>(capacity);
-    for (std::size_t j = 0; j < stripe.capacity; ++j) {
-      if (const Ref r = stripe.slots[j]; r != 0) {
+    for (std::size_t j = 0; j < unique_capacity_; ++j) {
+      if (const Ref r = unique_[j]; r != 0) {
         const BddNode& n = node(r);
         place(slots.get(), capacity, unique_hash(n.var, n.low, n.high), r);
       }
     }
-    stripe.slots = std::move(slots);
-    stripe.capacity = capacity;
+    unique_ = std::move(slots);
+    unique_capacity_ = capacity;
   }
-  place(stripe.slots.get(), stripe.capacity, h, ref);
-  ++stripe.count;
+  place(unique_.get(), unique_capacity_, h, ref);
+  ++unique_count_;
   return ref;
 }
 
@@ -167,39 +155,37 @@ Ref Manager::make_nvar(std::uint32_t v) { return mk(v, kTrue, kFalse); }
 
 std::optional<Ref> Manager::cache_lookup(Op op, Ref f, Ref g) {
   const std::uint64_t h = cache_hash(static_cast<std::uint32_t>(op), f, g);
-  CacheStripe& stripe = cache_[h >> kStripeShift];
-  const MaybeLock lock(stripe.mutex, concurrent_);
-  if (stripe.capacity != 0) {
-    const CacheEntry& e = stripe.entries[h & (stripe.capacity - 1)];
+  CacheSlice& slice = cache_[h >> kSliceShift];
+  if (slice.capacity != 0) {
+    const CacheEntry& e = slice.entries[h & (slice.capacity - 1)];
     if (e.op == op && e.f == f && e.g == g) {
-      ++stripe.hits;
+      ++slice.hits;
       return e.result;
     }
   }
-  ++stripe.misses;
+  ++slice.misses;
   return std::nullopt;
 }
 
 void Manager::cache_insert(Op op, Ref f, Ref g, Ref result) {
   const std::uint64_t h = cache_hash(static_cast<std::uint32_t>(op), f, g);
-  CacheStripe& stripe = cache_[h >> kStripeShift];
-  const MaybeLock lock(stripe.mutex, concurrent_);
-  if (++stripe.inserts > stripe.capacity &&
-      stripe.capacity < kCacheTotalEntries / kStripes) {
+  CacheSlice& slice = cache_[h >> kSliceShift];
+  if (++slice.inserts > slice.capacity &&
+      slice.capacity < kCacheTotalEntries / kCacheSlices) {
     // Double while inserts outnumber slots, keeping what still fits.
     const std::size_t capacity =
-        std::max(kCacheInitialEntries, 2 * stripe.capacity);
+        std::max(kCacheInitialEntries, 2 * slice.capacity);
     auto entries = std::make_unique<CacheEntry[]>(capacity);
-    for (std::size_t j = 0; j < stripe.capacity; ++j) {
-      const CacheEntry& e = stripe.entries[j];
+    for (std::size_t j = 0; j < slice.capacity; ++j) {
+      const CacheEntry& e = slice.entries[j];
       if (e.op == Op{}) continue;
       entries[cache_hash(static_cast<std::uint32_t>(e.op), e.f, e.g) &
               (capacity - 1)] = e;
     }
-    stripe.entries = std::move(entries);
-    stripe.capacity = capacity;
+    slice.entries = std::move(entries);
+    slice.capacity = capacity;
   }
-  stripe.entries[h & (stripe.capacity - 1)] = CacheEntry{f, g, result, op};
+  slice.entries[h & (slice.capacity - 1)] = CacheEntry{f, g, result, op};
 }
 
 Ref Manager::apply(Op op, Ref f, Ref g) {
@@ -231,9 +217,6 @@ Ref Manager::apply(Op op, Ref f, Ref g) {
   // Normalize commutative operands for better cache hit rates.
   if (f > g) std::swap(f, g);
   if (const auto cached = cache_lookup(op, f, g)) return *cached;
-  // No lock is held across the recursion: two threads may race the same
-  // apply and both compute it, but hash consing makes the results
-  // identical, so the second insert below stores the same result.
 
   const std::uint32_t fv = is_terminal(f) ? kTermVar : node(f).var;
   const std::uint32_t gv = is_terminal(g) ? kTermVar : node(g).var;

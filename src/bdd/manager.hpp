@@ -15,32 +15,26 @@
 /// of bdd/order.hpp.
 ///
 /// Storage: nodes live in a chunked arena whose chunks never move, so a
-/// published Ref (one obtained from any manager operation) can always be
-/// dereferenced without a lock. The unique table and the computed cache
-/// are flat arrays, each split into kStripes shards by the top bits of
-/// the key's hash. A unique-table shard is an open-addressing array of
-/// Refs (0 marks an empty slot; terminals are never stored) probed
-/// linearly; a slot's key (var, low, high) is read back from the arena.
-/// It is allocated on the first insert and doubles at load 1/2. A
-/// computed-cache shard is a direct-mapped array of {f, g, result, op}
-/// entries in which a colliding insert overwrites the old entry; it
-/// doubles while its inserts outnumber its slots, up to a fixed ceiling
-/// for the whole cache. The cache is lossy, not the table: an evicted
-/// operation recomputes into nodes that already exist, so the node set,
-/// the node count and (in serial use) the node numbering are those of an
-/// unbounded cache. Destroying a manager frees the arena chunks and the
-/// 2 x kStripes arrays, not one heap node per entry.
+/// `const BddNode&` stays valid across later mk() calls (restrict_var()
+/// holds one while it recurses). The unique table is one
+/// open-addressing array of Refs (0 marks an empty slot; terminals are
+/// never stored) probed linearly; a slot's key (var, low, high) is read
+/// back from the arena. It is allocated on the first insert and doubles
+/// at load 1/2. The computed cache is a lossy direct-mapped array of
+/// {f, g, result, op} entries in which a colliding insert overwrites the
+/// old entry, split into kCacheSlices slices by the top bits of the key's
+/// hash; a slice doubles while its inserts outnumber its slots, up to a
+/// fixed ceiling for the whole cache. The cache is lossy, not the table:
+/// an evicted operation recomputes into nodes that already exist, so the
+/// node set, the node count and the node numbering are those of an
+/// unbounded cache. Destroying a manager frees the arena chunks and
+/// 1 + kCacheSlices arrays, not one heap node per entry.
 ///
-/// Concurrency: the manager supports *concurrent construction* - mk() and
-/// the apply family may be called from several threads at once (the
-/// level-parallel builder in bdd/build.cpp does exactly that) once
-/// enter_concurrent_mode() has been called. Each shard owns a mutex that
-/// guards its array, including the array's growth, so threads building
-/// independent subtrees rarely contend; outside concurrent mode the shard
-/// locks are skipped entirely, keeping the serial hot path lock-free.
-/// The *set* of nodes a build creates is canonical, so node counts and
-/// every structural query are identical for every thread count - only
-/// node indices may be permuted between runs.
+/// Threading: the manager has no locks. Calls that may allocate (mk(),
+/// the apply family, restrict_var()) must not overlap with any other
+/// call; the const queries (var(), low(), high(), reachable(), ...) may
+/// run on several threads at once while nothing allocates - the pooled
+/// Pareto propagation in core/bdd_bu.cpp reads a finished manager so.
 ///
 /// Nodes are never garbage collected: the analyses in this library build a
 /// bounded number of functions per manager, and node indices stay stable,
@@ -51,12 +45,10 @@
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <bit>
 #include <cstdint>
 #include <limits>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -78,12 +70,9 @@ struct BddNode {
   Ref high;
 };
 
-/// Aggregate statistics of a manager (for benches and reports). Counter
-/// values are exact after construction quiesces; num_nodes is always
-/// exact. Note that cache hit/miss and unique-hit tallies can vary
-/// across thread counts (racing threads may both miss the same apply
-/// before one publishes, and the lossy cache evicts in a different order)
-/// - the produced BDD never does.
+/// Aggregate statistics of a manager (for benches and reports). Like the
+/// BDD itself, every counter is a deterministic function of the
+/// operations called.
 struct ManagerStats {
   std::size_t num_nodes = 0;     ///< total allocated, incl. both terminals
   std::size_t unique_hits = 0;   ///< mk() calls answered from the table
@@ -99,11 +88,9 @@ class Manager {
   explicit Manager(std::uint32_t num_vars, std::size_t node_limit = 0);
 
   [[nodiscard]] std::uint32_t num_vars() const noexcept { return num_vars_; }
-  [[nodiscard]] std::size_t num_nodes() const noexcept {
-    return size_.load(std::memory_order_acquire);
-  }
+  [[nodiscard]] std::size_t num_nodes() const noexcept { return size_; }
 
-  /// A snapshot of the counters (aggregated across stripes).
+  /// A snapshot of the counters (the cache's summed across slices).
   [[nodiscard]] ManagerStats stats() const;
 
   [[nodiscard]] bool is_terminal(Ref f) const noexcept { return f <= kTrue; }
@@ -113,26 +100,15 @@ class Manager {
   [[nodiscard]] Ref low(Ref f) const;
   [[nodiscard]] Ref high(Ref f) const;
 
-  /// Switches the manager into concurrent-construction mode: from then
-  /// on every unique-table / computed-cache / allocation access takes
-  /// its stripe lock. One-way, and it must happen-before the first
-  /// concurrent operation (the level-parallel builder flips it before
-  /// dispatching to its pool, so the pool's own synchronization
-  /// publishes the flag). Serial callers never pay for locks they do
-  /// not need - the single-threaded hot path stays lock-free.
-  void enter_concurrent_mode() noexcept { concurrent_ = true; }
-  [[nodiscard]] bool concurrent_mode() const noexcept { return concurrent_; }
-
   /// The hash-consing constructor: returns the canonical node for
-  /// (var, low, high), applying both ROBDD reduction rules. Thread-safe
-  /// in concurrent mode.
+  /// (var, low, high), applying both ROBDD reduction rules.
   Ref mk(std::uint32_t var, Ref low, Ref high);
 
   /// The function "variable v" and its negation.
   Ref make_var(std::uint32_t v);
   Ref make_nvar(std::uint32_t v);
 
-  // Memoized Boolean operations; thread-safe.
+  // Memoized Boolean operations.
   Ref apply_and(Ref f, Ref g);
   Ref apply_or(Ref f, Ref g);
   Ref apply_xor(Ref f, Ref g);
@@ -157,7 +133,7 @@ class Manager {
 
   /// Nodes reachable from \p f in ascending index order (children before
   /// parents - a node's children exist before mk() can reference them, so
-  /// index order is topological even under concurrent construction).
+  /// index order is topological).
   [[nodiscard]] std::vector<Ref> reachable(Ref f) const;
 
   /// A path assignment: one entry per variable; 0/1 for decisions taken
@@ -184,21 +160,15 @@ class Manager {
     Restrict1
   };
 
-  /// Lock shards of the unique table / computed cache. 64 stripes keep
-  /// 8-16 concurrent builders mostly contention-free while the per-stripe
-  /// arrays stay small for tiny managers.
-  static constexpr std::size_t kStripes = 64;
-  static constexpr unsigned kStripeShift = 58;  // top 6 bits of a hash
-  static_assert(kStripes == std::size_t{1} << (64 - kStripeShift));
+  /// Slices of the computed cache. Each grows on its own, so a doubling
+  /// holds the old and the new array of one slice at once, not of the
+  /// whole cache: one array doubling to the 16 MB ceiling briefly holds
+  /// 24 MB (perfbench dag_cold peak RSS: 17.0-17.2 MB sliced, up to
+  /// 21.3 MB as one array).
+  static constexpr std::size_t kCacheSlices = 64;
+  static constexpr unsigned kSliceShift = 58;  // top 6 bits of a hash
+  static_assert(kCacheSlices == std::size_t{1} << (64 - kSliceShift));
 
-  // Every field below a stripe's mutex is guarded by it.
-  struct UniqueStripe {
-    mutable std::mutex mutex;  // mutable: stats() locks through const this
-    std::unique_ptr<Ref[]> slots;  ///< 0 = empty; null until first insert
-    std::size_t capacity = 0;      ///< a power of two, or 0
-    std::size_t count = 0;         ///< occupied slots
-    std::size_t hits = 0;
-  };
   struct CacheEntry {
     Ref f;
     Ref g;
@@ -206,8 +176,7 @@ class Manager {
     Op op;
   };
   static_assert(sizeof(CacheEntry) == 16);
-  struct CacheStripe {
-    mutable std::mutex mutex;
+  struct CacheSlice {
     std::unique_ptr<CacheEntry[]> entries;  ///< null until first insert
     std::size_t capacity = 0;               ///< a power of two, or 0
     std::size_t inserts = 0;
@@ -218,7 +187,7 @@ class Manager {
   // Chunked node arena: chunk c holds 2^(kFirstChunkBits + c) nodes and
   // starts at index (2^c - 1) << kFirstChunkBits, so capacity doubles
   // while small managers only ever touch the first 1K-node chunk. Chunks
-  // never move, which is what makes node() lock-free.
+  // never move, so node references survive allocation.
   static constexpr std::uint32_t kFirstChunkBits = 10;
   static constexpr std::size_t kMaxChunks = 22;
   static_assert(((std::uint64_t{1} << kMaxChunks) - 1) << kFirstChunkBits <=
@@ -234,30 +203,13 @@ class Manager {
     return ((Ref{1} << c) - 1) << kFirstChunkBits;
   }
 
-  /// Lock-free node read; \p f must be a published nonterminal Ref.
+  /// \p f must be an allocated nonterminal Ref.
   [[nodiscard]] const BddNode& node(Ref f) const noexcept {
     const std::uint32_t c = chunk_of(f);
-    return chunks_[c].load(std::memory_order_acquire)[f - chunk_start(c)];
+    return chunks_[c][f - chunk_start(c)];
   }
 
-  /// Locks \p m only in concurrent mode (see enter_concurrent_mode()).
-  class MaybeLock {
-   public:
-    MaybeLock(std::mutex& m, bool enabled) : m_(enabled ? &m : nullptr) {
-      if (m_ != nullptr) m_->lock();
-    }
-    MaybeLock(const MaybeLock&) = delete;
-    MaybeLock& operator=(const MaybeLock&) = delete;
-    ~MaybeLock() {
-      if (m_ != nullptr) m_->unlock();
-    }
-
-   private:
-    std::mutex* m_;
-  };
-
-  /// Appends a node to the arena; takes alloc_mutex_ (in concurrent
-  /// mode) and enforces the node limit.
+  /// Appends a node to the arena and enforces the node limit.
   Ref allocate(const BddNode& n);
 
   Ref apply(Op op, Ref f, Ref g);
@@ -270,15 +222,16 @@ class Manager {
 
   std::uint32_t num_vars_;
   std::size_t node_limit_;
-  bool concurrent_ = false;
 
-  std::array<std::atomic<BddNode*>, kMaxChunks> chunks_{};
-  std::vector<std::unique_ptr<BddNode[]>> chunk_storage_;  // alloc_mutex_
-  std::mutex alloc_mutex_;
-  std::atomic<std::uint32_t> size_{0};
+  std::array<std::unique_ptr<BddNode[]>, kMaxChunks> chunks_;
+  std::uint32_t size_ = 0;
 
-  std::array<UniqueStripe, kStripes> unique_;
-  std::array<CacheStripe, kStripes> cache_;
+  std::unique_ptr<Ref[]> unique_;  ///< 0 = empty; null until first insert
+  std::size_t unique_capacity_ = 0;  ///< a power of two, or 0
+  std::size_t unique_count_ = 0;     ///< occupied slots
+  std::size_t unique_hits_ = 0;
+
+  std::array<CacheSlice, kCacheSlices> cache_;
 
   static constexpr std::uint32_t kTermVar = 0xFFFFFFFFu;
 };

@@ -277,42 +277,23 @@ bdd::VarOrder resolve_order(const AugmentedAdt& aadt,
                                       options.order_seed);
 }
 
-/// BDD managers below this many allocated nodes never trigger the
-/// late (post-build) engagement: their whole propagation costs less than
-/// the per-node task bookkeeping. Models over the ADT-node floor engage
-/// up front regardless, so construction parallelizes too.
+/// BDD managers below this many allocated nodes do not engage the pool
+/// unless the ADT itself clears options.parallel_node_floor: their whole
+/// propagation costs less than the per-node task bookkeeping.
 constexpr std::size_t kMinBddNodesForPool = 4096;
 
-/// When one BDDBU run engages the borrowed scheduler. A small ADT can
-/// still translate to a huge BDD (the Fig. 4 family: 43 ADT nodes,
-/// ~3 * 2^n BDD nodes), so a multi-slot pool engages either up front -
-/// when the ADT itself clears options.parallel_node_floor - or right
-/// after the build, when the manager turns out large enough that
-/// task-DAG propagation pays for itself. Below both floors per-node task
-/// bookkeeping costs more than the sequential loop.
-class PoolGate {
- public:
-  PoolGate(const AugmentedAdt& aadt, const BddBuOptions& options)
-      : offered_(options.pool != nullptr && options.pool->threads() > 1
-                     ? options.pool
-                     : nullptr) {
-    if (aadt.adt().size() >= options.parallel_node_floor) pool_ = offered_;
-  }
-
-  /// Called between build and propagate with the manager's node count.
-  void after_build(std::size_t manager_nodes) {
-    if (manager_nodes >= kMinBddNodesForPool) pool_ = offered_;
-  }
-
-  [[nodiscard]] TaskScheduler* pool() noexcept { return pool_; }
-  [[nodiscard]] unsigned threads_used() const noexcept {
-    return pool_ != nullptr ? pool_->threads() : 1;
-  }
-
- private:
-  TaskScheduler* offered_;
-  TaskScheduler* pool_ = nullptr;
-};
+/// The borrowed scheduler the propagation of a built BDD runs on, or
+/// null for the sequential loop. A small ADT can still translate to a
+/// huge BDD (the Fig. 4 family: 43 ADT nodes, ~3 * 2^n BDD nodes), so a
+/// multi-slot pool engages when either the ADT or the manager is large.
+TaskScheduler* propagation_pool(const AugmentedAdt& aadt,
+                                const BddBuOptions& options,
+                                std::size_t manager_nodes) {
+  TaskScheduler* pool = options.pool;
+  const bool large = aadt.adt().size() >= options.parallel_node_floor ||
+                     manager_nodes >= kMinBddNodesForPool;
+  return pool != nullptr && pool->threads() > 1 && large ? pool : nullptr;
+}
 
 }  // namespace
 
@@ -324,46 +305,39 @@ WitnessFront bdd_bu_front_witness(const AugmentedAdt& aadt,
                                   const BddBuOptions& options) {
   const bdd::VarOrder order = resolve_order(aadt, options);
   bdd::Manager manager(order.num_vars(), options.node_limit);
-  PoolGate gate(aadt, options);
   check_interrupt(options.deadline, options.cancel, "bdd_bu");
-  bdd::BuildOptions build;
-  build.pool = gate.pool();
   const bdd::Ref root =
-      bdd::build_structure_function(manager, aadt.adt(), order, build);
-  gate.after_build(manager.num_nodes());
-  return propagate<WitnessPoint>(aadt, manager, root, order, nullptr, options,
-                                 gate.pool());
+      bdd::build_structure_function(manager, aadt.adt(), order);
+  return propagate<WitnessPoint>(
+      aadt, manager, root, order, nullptr, options,
+      propagation_pool(aadt, options, manager.num_nodes()));
 }
 
 BddBuReport bdd_bu_analyze(const AugmentedAdt& aadt,
                            const BddBuOptions& options) {
   const bdd::VarOrder order = resolve_order(aadt, options);
   bdd::Manager manager(order.num_vars(), options.node_limit);
-  PoolGate gate(aadt, options);
 
   BddBuReport report;
   check_interrupt(options.deadline, options.cancel, "bdd_bu");
   Stopwatch build_watch;
-  bdd::BuildOptions build;
-  build.pool = gate.pool();
-  build.stats = &report.sched;
   const bdd::Ref root =
-      bdd::build_structure_function(manager, aadt.adt(), order, build);
+      bdd::build_structure_function(manager, aadt.adt(), order);
   report.build_seconds = build_watch.seconds();
   report.bdd_size = manager.size(root);
   report.manager_nodes = manager.num_nodes();
-  gate.after_build(manager.num_nodes());
-  report.threads_used = gate.threads_used();
+  TaskScheduler* pool = propagation_pool(aadt, options, report.manager_nodes);
+  report.threads_used = pool != nullptr ? pool->threads() : 1;
 
   PropagateCounters counters;
   Stopwatch prop_watch;
   report.front = propagate<ValuePoint>(aadt, manager, root, order, &counters,
-                                       options, gate.pool());
+                                       options, pool);
   report.propagate_seconds = prop_watch.seconds();
   report.max_front_size = counters.max_front_size;
   report.combine_stats = counters.combine;
   report.max_level_width = counters.max_level_width;
-  report.sched += counters.sched;
+  report.sched = counters.sched;
   return report;
 }
 

@@ -10,20 +10,20 @@
 /// Theorem 2 needs defense-first orders); at defense-labeled nodes the low
 /// front is merged with the cost-shifted high front and pruned.
 ///
-/// Intra-model parallelism: both phases compile into task DAGs for the
-/// work-stealing TaskScheduler (util/parallel.hpp). Construction makes
-/// every apply of every gate's balanced reduction tree a task
-/// (bdd/build.cpp); propagation chunks contiguous runs of the
-/// children-first node order into tasks of roughly task_grain_points of
-/// estimated front work (attack-variable nodes always carry singleton
-/// fronts, so vast low-work regions collapse into few tasks instead of
-/// drowning the scheduler in per-node bookkeeping), each task depending
-/// on the chunks holding its nodes' children - a chunk runs the moment
-/// its producers finish, with no per-level barrier. Every node's front
-/// is a pure function of its children's fronts, computed with the same
-/// operations in the same (children-first) order whatever worker or
-/// chunk runs it, so fronts and witnesses are bit-identical for every
-/// scheduler width and grain; neither enters the FrontCache key.
+/// Intra-model parallelism: the BDD is built on the calling thread
+/// (bdd/build.hpp); only the propagation over the finished manager runs
+/// on a borrowed TaskScheduler (util/parallel.hpp). It chunks contiguous
+/// runs of the children-first node order into tasks of roughly
+/// task_grain_points of estimated front work (attack-variable nodes
+/// always carry singleton fronts, so vast low-work regions collapse into
+/// few tasks instead of drowning the scheduler in per-node bookkeeping),
+/// each task depending on the chunks holding its nodes' children - a
+/// chunk runs the moment its producers finish, with no per-level
+/// barrier. Workers only read the manager. Every node's front is a pure
+/// function of its children's fronts, computed with the same operations
+/// in the same (children-first) order whatever worker or chunk runs it,
+/// so fronts and witnesses are bit-identical for every scheduler width
+/// and grain; neither enters the FrontCache key.
 
 #pragma once
 
@@ -70,11 +70,11 @@ struct BddBuOptions {
   /// keep private per-slot arenas).
   FrontArena<ValuePoint>* arena = nullptr;
 
-  /// Models smaller than this many ADT nodes never engage a multi-slot
-  /// \p pool up front - per-node task bookkeeping costs more than a
-  /// small model's whole analysis. A small ADT whose BDD turns out huge
-  /// still engages right after the build. Tests set 0 to force the
-  /// parallel path on tiny models.
+  /// Models smaller than this many ADT nodes propagate on a multi-slot
+  /// \p pool only when their BDD turns out large (4096 manager nodes or
+  /// more) - per-node task bookkeeping costs more than a small model's
+  /// whole analysis. Tests set 0 to force the parallel path on tiny
+  /// models.
   std::size_t parallel_node_floor = 64;
 
   /// Work-estimate budget for one parallel propagation task: contiguous
@@ -88,11 +88,11 @@ struct BddBuOptions {
   /// and - like \p pool - the knob never enters the FrontCache key.
   std::size_t task_grain_points = 1024;
 
-  /// Borrowed scheduler for BDD construction and task-DAG propagation,
-  /// used once the model clears the floors above; null (default) runs
-  /// sequentially. Fronts and witnesses are bit-identical for every
-  /// width (see the file comment), so - like \p arena - the pointer
-  /// never enters the FrontCache key. analyze() and analyze_batch() set
+  /// Borrowed scheduler for the task-DAG propagation, used once the
+  /// model clears the floors above; null (default) runs sequentially.
+  /// The BDD build always runs on the calling thread. Fronts and
+  /// witnesses are bit-identical for every width (see the file comment),
+  /// so - like \p arena - the pointer never enters the FrontCache key. analyze() and analyze_batch() set
   /// it; hybrid_analyze() passes it on to every per-blob run.
   TaskScheduler* pool = nullptr;
 };
@@ -110,9 +110,9 @@ struct BddBuReport {
   double build_seconds = 0;       ///< ADT -> ROBDD translation time
   double propagate_seconds = 0;   ///< front propagation time
   // Parallelism counters.
-  unsigned threads_used = 1;       ///< scheduler slots serving both phases
+  unsigned threads_used = 1;       ///< scheduler slots serving propagation
   std::size_t max_level_width = 0; ///< nodes in the widest BDD level
-  TaskRunStats sched;              ///< build + propagate task-DAG counters
+  TaskRunStats sched;              ///< propagation task-DAG counters
 };
 
 /// Algorithm 3 at the root of the ROBDD. Works for arbitrary (tree- or

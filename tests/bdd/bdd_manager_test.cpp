@@ -3,13 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <map>
+#include <set>
+#include <tuple>
 
+#include "adt/structure.hpp"
 #include "bdd/build.hpp"
 #include "bdd/order.hpp"
 #include "gen/random_adt.hpp"
 #include "util/error.hpp"
-#include "util/parallel.hpp"
 #include "util/rng.hpp"
 
 namespace adtp::bdd {
@@ -292,29 +293,11 @@ TEST(BddManager, EvictedApplyRecomputesIntoExistingNodes) {
               std::pow(2.0, 2 * kPairs) - std::pow(3.0, kPairs), 1.0);
 }
 
-/// True when \p f of \p a and \p g of \p b are the same function:
-/// ROBDDs under one variable order are canonical, so that means the two
-/// graphs are isomorphic.
-bool same_function(const Manager& a, Ref f, const Manager& b, Ref g,
-                   std::map<Ref, Ref>& matched) {
-  if (a.is_terminal(f) || b.is_terminal(g)) return f == g;
-  if (const auto it = matched.find(f); it != matched.end()) {
-    return it->second == g;
-  }
-  if (a.var(f) != b.var(g) ||
-      !same_function(a, a.low(f), b, b.low(g), matched) ||
-      !same_function(a, a.high(f), b, b.high(g), matched)) {
-    return false;
-  }
-  matched.emplace(f, g);
-  return true;
-}
-
-TEST(BddManager, ConcurrentBuildMatchesSerialAcrossTableGrowth) {
-  // Paper-recipe DAGs whose builds allocate 35k..57k nodes: at least
-  // ~550 keys per unique-table stripe, i.e. several doublings from the
-  // first array, all of them racing on eight workers.
-  TaskScheduler pool(8);
+TEST(BddManager, BuildMatchesEvaluationAcrossTableGrowth) {
+  // Paper-recipe DAGs whose builds allocate 35k..57k nodes: the unique
+  // table doubles about ten times from its first 64-slot array. Through
+  // all of them no key may be allocated twice, and every node's BDD must
+  // still be its structure function.
   for (const std::uint64_t seed : {7, 18, 28, 30}) {
     RandomAdtOptions gen;
     gen.target_nodes = 300;
@@ -323,31 +306,39 @@ TEST(BddManager, ConcurrentBuildMatchesSerialAcrossTableGrowth) {
     const Adt adt = generate_random_adt(gen, seed);
     const VarOrder order = VarOrder::defense_first(adt);
 
-    Manager serial(order.num_vars());
-    const std::vector<Ref> expected = build_all(serial, adt, order);
-    Manager concurrent(order.num_vars());
-    BuildOptions options;
-    options.pool = &pool;
-    const std::vector<Ref> got = build_all(concurrent, adt, order, options);
-    ASSERT_TRUE(concurrent.concurrent_mode());
-    ASSERT_GE(serial.num_nodes(), std::size_t{1} << 15) << "seed " << seed;
-    EXPECT_EQ(concurrent.num_nodes(), serial.num_nodes()) << "seed " << seed;
+    Manager manager(order.num_vars());
+    const std::vector<Ref> roots = build_all(manager, adt, order);
+    ASSERT_GE(manager.num_nodes(), std::size_t{1} << 15) << "seed " << seed;
 
-    const Ref root = got[adt.root()];
-    const Ref serial_root = expected[adt.root()];
-    EXPECT_EQ(concurrent.size(root), serial.size(serial_root));
-    std::map<Ref, Ref> matched;
-    for (NodeId v = 0; v < adt.size(); ++v) {
-      ASSERT_TRUE(same_function(serial, expected[v], concurrent, got[v],
-                                matched))
-          << "seed " << seed << " node " << v;
+    // Both reduction rules held through every doubling: a key the table
+    // lost would have been allocated a second time.
+    std::set<std::tuple<std::uint32_t, Ref, Ref>> keys;
+    for (Ref r = kTrue + 1; r < manager.num_nodes(); ++r) {
+      ASSERT_NE(manager.low(r), manager.high(r));
+      ASSERT_TRUE(
+          keys.emplace(manager.var(r), manager.low(r), manager.high(r)).second)
+          << "seed " << seed << ": node " << r << " duplicates a key";
     }
+
     Rng rng(seed);
     for (int trial = 0; trial < 256; ++trial) {
       std::vector<bool> bits(order.num_vars());
-      for (std::size_t v = 0; v < bits.size(); ++v) bits[v] = rng.below(2) != 0;
-      ASSERT_EQ(concurrent.evaluate(root, bits),
-                serial.evaluate(serial_root, bits));
+      BitVec defense(adt.num_defenses());
+      BitVec attack(adt.num_attacks());
+      for (std::uint32_t v = 0; v < bits.size(); ++v) {
+        bits[v] = rng.below(2) != 0;
+        const NodeId leaf = order.node_of(v);
+        if (order.is_defense_var(v)) {
+          defense.set(adt.defense_index(leaf), bits[v]);
+        } else {
+          attack.set(adt.attack_index(leaf), bits[v]);
+        }
+      }
+      const std::vector<char> expected = evaluate_all(adt, defense, attack);
+      for (NodeId v = 0; v < adt.size(); ++v) {
+        ASSERT_EQ(manager.evaluate(roots[v], bits), expected[v] != 0)
+            << "seed " << seed << " trial " << trial << " node " << v;
+      }
     }
   }
 }

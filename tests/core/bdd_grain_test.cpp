@@ -67,20 +67,21 @@ TEST(BddGrain, DefaultGrainCollapsesTheTaskCount) {
   const AugmentedAdt aadt = catalog::fig4_exponential(10);
 
   TaskScheduler pool(2);
-  auto tasks_at = [&](std::size_t grain) {
+  auto report_at = [&](std::size_t grain) {
     BddBuOptions options;
     options.parallel_node_floor = 0;
     options.pool = &pool;
     options.task_grain_points = grain;
-    const BddBuReport report = bdd_bu_analyze(aadt, options);
-    // Subtract the build-phase tasks by re-measuring them alone: run
-    // sequentially instead - propagation is the only phase whose task
-    // count the grain changes, so compare total counts directly.
-    return report.sched.tasks;
+    return bdd_bu_analyze(aadt, options);
   };
 
-  const std::uint64_t per_node = tasks_at(1);
-  const std::uint64_t chunked = tasks_at(1024);
+  // report.sched counts propagation tasks only (the build is serial), so
+  // grain 1 is exactly one task per reachable nonterminal: |W| minus the
+  // two terminals (a non-constant function reaches both).
+  const BddBuReport fine = report_at(1);
+  const std::uint64_t per_node = fine.sched.tasks;
+  EXPECT_EQ(per_node, fine.bdd_size - 2);
+  const std::uint64_t chunked = report_at(1024).sched.tasks;
   EXPECT_LT(chunked, per_node)
       << "default grain did not reduce the propagation task count";
   // The BDD here has thousands of nonterminals; chunking must remove the
